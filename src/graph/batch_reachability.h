@@ -68,13 +68,13 @@ class BatchReachabilityWorkspace {
                          const std::uint64_t* edge_words, NodeId target,
                          std::uint64_t lane_mask = ~std::uint64_t{0});
 
-  /// \brief Incremental interface, for callers that interleave propagation
-  /// with externally delivered lane masks (the sharded router's cut-edge
-  /// frontier exchange): `Begin` resets the workspace, then any sequence of
-  /// `Seed`/`Propagate` calls grows the reached masks monotonically —
-  /// lanes handed across a shard boundary are Seeded at the receiving node
-  /// and the next Propagate continues from exactly that delta instead of
-  /// recomputing the fixpoint from scratch. Every Begin/Seed sequence must
+  /// \brief Incremental interface, for callers that seed a node with its
+  /// own lane mask rather than one mask for every source (the reverse
+  /// sketch build in seedmax/rr_index.cc seeds each target with its
+  /// surviving lanes): `Begin` resets the workspace, then any sequence of
+  /// `Seed`/`Propagate` calls grows the reached masks monotonically, and
+  /// each Propagate continues from exactly the newly seeded delta instead
+  /// of recomputing the fixpoint from scratch. Every Begin/Seed sequence must
   /// end with a Propagate before the workspace is reused.
   ///
   /// Run(g, srcs, words, lanes) ≡ Begin(g); Seed(s, lanes) ∀s; Propagate().

@@ -12,7 +12,7 @@
 /// propagate.
 ///
 /// Planes are immutable after construction and published by shared_ptr
-/// swap (BankGeneration::AcquireStripPlane, ShardView::AcquireStripPlane):
+/// swap (BankGeneration::AcquireStripPlane):
 /// readers that acquired a plane keep replaying it across concurrent bank
 /// refreshes, mirroring the generation RCU discipline.
 

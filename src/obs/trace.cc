@@ -33,17 +33,6 @@ struct TraceEvent {
   std::uint64_t query_id;
 };
 
-/// A span adopted from another process (shard replica): the name is owned
-/// and pid/tid/timestamps are taken verbatim from the child's export.
-struct ImportedEvent {
-  std::string name;
-  std::uint32_t pid;
-  std::uint32_t tid;
-  double ts_us;
-  double dur_us;
-  std::uint64_t query_id;
-};
-
 /// One recording thread's ring. The owning thread writes under `mutex`
 /// (uncontended except during export), the exporter reads under it.
 struct ThreadBuffer {
@@ -60,8 +49,6 @@ struct TraceState {
   std::mutex registry_mutex;
   /// shared_ptr keeps buffers alive after their thread exits.
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  /// Spans merged in from shard replicas, also under registry_mutex.
-  std::vector<ImportedEvent> imported;
 };
 
 TraceState& State() {
@@ -126,7 +113,6 @@ void Tracing::Clear() {
     buffer->next = 0;
     buffer->dropped = 0;
   }
-  state.imported.clear();
 }
 
 std::uint64_t Tracing::DroppedEvents() {
@@ -156,11 +142,9 @@ std::string Tracing::ExportChromeJson() {
   // Copy the buffer list so per-buffer locks are not held under the
   // registry lock longer than needed.
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  std::vector<ImportedEvent> imported;
   {
     std::lock_guard<std::mutex> lock(state.registry_mutex);
     buffers = state.buffers;
-    imported = state.imported;
   }
   std::ostringstream out;
   out.precision(17);
@@ -185,39 +169,8 @@ std::string Tracing::ExportChromeJson() {
       out << "}";
     }
   }
-  for (const ImportedEvent& event : imported) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"name\":\"";
-    AppendEscaped(out, event.name.c_str());
-    out << "\",\"cat\":\"infoflow\",\"ph\":\"X\",\"pid\":" << event.pid
-        << ",\"tid\":" << event.tid << ",\"ts\":" << event.ts_us
-        << ",\"dur\":" << event.dur_us;
-    if (event.query_id != 0) {
-      out << ",\"args\":{\"query_id\":" << event.query_id << "}";
-    }
-    out << "}";
-  }
   out << "]}";
   return out.str();
-}
-
-std::uint64_t Tracing::NowNanos() { return NowNs(); }
-
-void Tracing::EmitSpan(const char* name, std::uint64_t begin_ns,
-                       std::uint64_t end_ns, std::uint64_t query_id) {
-  if (!IsEnabled()) return;
-  if (begin_ns == 0) begin_ns = 1;
-  if (end_ns < begin_ns) end_ns = begin_ns;
-  RecordEvent(name, begin_ns, end_ns, query_id);
-}
-
-void Tracing::ImportSpan(const std::string& name, std::uint32_t pid,
-                         std::uint32_t tid, double ts_us, double dur_us,
-                         std::uint64_t query_id) {
-  TraceState& state = State();
-  std::lock_guard<std::mutex> lock(state.registry_mutex);
-  state.imported.push_back({name, pid, tid, ts_us, dur_us, query_id});
 }
 
 TraceSpan::TraceSpan(const char* name) : TraceSpan(name, 0) {}

@@ -61,22 +61,6 @@ class Tracing {
   /// Events carrying a nonzero query id export an `"args":{"query_id":N}`
   /// object so one query's spans form a selectable tree in the viewer.
   static std::string ExportChromeJson();
-
-  /// Nanoseconds since the trace epoch (never 0). Pair with EmitSpan to
-  /// record a span whose lifetime does not fit a C++ scope.
-  static std::uint64_t NowNanos();
-
-  /// Records a completed span on the calling thread's ring. `name` must be
-  /// a string literal (the pointer is stored). No-op while disabled.
-  static void EmitSpan(const char* name, std::uint64_t begin_ns,
-                       std::uint64_t end_ns, std::uint64_t query_id = 0);
-
-  /// Adopts a span exported by another process (a `--shard-procs` replica)
-  /// into this process's trace under the given pid/tid. The name is copied.
-  /// Imported spans survive until Clear() and export alongside local ones.
-  static void ImportSpan(const std::string& name, std::uint32_t pid,
-                         std::uint32_t tid, double ts_us, double dur_us,
-                         std::uint64_t query_id);
 };
 
 /// \brief RAII span: records [construction, destruction) under `name`.
@@ -109,11 +93,6 @@ class Tracing {
   static void Clear() {}
   static std::uint64_t DroppedEvents() { return 0; }
   static std::string ExportChromeJson() { return "{\"traceEvents\":[]}"; }
-  static std::uint64_t NowNanos() { return 0; }
-  static void EmitSpan(const char*, std::uint64_t, std::uint64_t,
-                       std::uint64_t = 0) {}
-  static void ImportSpan(const std::string&, std::uint32_t, std::uint32_t,
-                         double, double, std::uint64_t) {}
 };
 
 class TraceSpan {

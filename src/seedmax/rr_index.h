@@ -28,8 +28,8 @@
 /// constrained maximization only ever counts admissible pseudo-states.
 ///
 /// `RrIndex` caches the default (unconstrained, all-targets) sketch set
-/// per bank generation with the same RCU publish discipline as
-/// serve/shard_engine.h's views: immutable once built, swapped by
+/// per bank generation with the same RCU publish discipline as the bank's
+/// generations (serve/sample_bank.h): immutable once built, swapped by
 /// shared_ptr under a mutex, primed eagerly when the server publishes a
 /// refresh or drift rebuild so streamed evidence invalidates stale
 /// sketches before the next top-k query pays the build.
@@ -192,8 +192,8 @@ class RrSketchSet {
   std::vector<RrPosting> postings_;
 };
 
-/// \brief Generation-keyed cache of the default sketch set, with the same
-/// publish discipline as ShardEngine: Acquire gathers (builds) on first
+/// \brief Generation-keyed cache of the default sketch set, with the
+/// bank's RCU publish discipline: Acquire builds on first
 /// sight of a generation and hands out immutable shared_ptr snapshots;
 /// readers holding an old set are never invalidated.
 class RrIndex {
@@ -219,8 +219,8 @@ class RrIndex {
   Result<std::shared_ptr<const RrSketchSet>> Acquire(
       std::shared_ptr<const serve::BankGeneration> generation);
 
-  /// \brief Epoch fan-out hook, called by the server next to
-  /// ShardSet::Prime when a refresh or drift rebuild publishes: eagerly
+  /// \brief Epoch fan-out hook, called by the server when a refresh or
+  /// drift rebuild publishes: eagerly
   /// re-inverts the new generation **iff a sketch set was ever built** —
   /// a daemon that never served a top-k query does not pay sketch builds
   /// on every refresh, while one that did keeps its index warm (and

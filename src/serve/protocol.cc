@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace infoflow::serve {
@@ -12,13 +13,31 @@ Result<NodeId> ParseNodeId(const JsonValue& value, const char* field) {
   if (!value.is_number()) {
     return Status::InvalidArgument("'", field, "' must be a number");
   }
+  if (const auto id = JsonToInteger<NodeId>(value)) return *id;
   const double number = value.AsNumber();
-  if (!(number >= 0) || number != std::floor(number)) {
-    return Status::InvalidArgument("'", field,
-                                   "' must be a non-negative integer, got ",
-                                   number);
+  if (number > 0 && number == std::floor(number)) {
+    return Status::InvalidArgument("'", field, "' must be at most ",
+                                   std::numeric_limits<NodeId>::max(),
+                                   ", got ", number);
   }
-  return static_cast<NodeId>(number);
+  return Status::InvalidArgument("'", field,
+                                 "' must be a non-negative integer, got ",
+                                 number);
+}
+
+/// Reads an optional `query_id` member into `query_id` / `provided`.
+Status ParseQueryId(const JsonValue& json, std::uint64_t& query_id,
+                    bool& provided) {
+  const JsonValue* field = json.Find("query_id");
+  if (field == nullptr) return Status::OK();
+  const auto parsed = JsonToInteger<std::uint64_t>(*field);
+  if (!parsed) {
+    return Status::InvalidArgument(
+        "'query_id' must be a non-negative 64-bit integer");
+  }
+  query_id = *parsed;
+  provided = true;
+  return Status::OK();
 }
 
 /// Reads `field` (singular, a number) or `fields` (plural, an array) into a
@@ -123,26 +142,14 @@ Result<AdminRequest> ParseAdminRequest(const JsonValue& json) {
   request.verb = enable->AsBool() ? AdminRequest::Verb::kTraceEnable
                                   : AdminRequest::Verb::kTraceDisable;
   if (const JsonValue* capacity = trace->Find("events_per_thread")) {
-    if (!capacity->is_number() || capacity->AsNumber() < 1 ||
-        capacity->AsNumber() != std::floor(capacity->AsNumber())) {
+    const auto parsed = JsonToInteger<std::size_t>(*capacity, 1);
+    if (!parsed) {
       return Status::InvalidArgument(
           "'trace.events_per_thread' must be a positive integer");
     }
-    request.trace_capacity = static_cast<std::size_t>(capacity->AsNumber());
+    request.trace_capacity = *parsed;
   }
   return request;
-}
-
-std::string SerializeAdminError(const AdminRequest& request,
-                                const Status& status) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  response["ok"] = false;
-  JsonValue::Object error;
-  error["code"] = StatusCodeName(status.code());
-  error["message"] = status.message();
-  response["error"] = std::move(error);
-  return JsonValue(std::move(response)).Dump();
 }
 
 bool IsTopkRequest(const JsonValue& json) {
@@ -160,22 +167,16 @@ Result<TopkRequest> ParseTopkRequest(const JsonValue& json) {
     }
     request.id = id->AsString();
   }
-  if (const JsonValue* query_id = json.Find("query_id")) {
-    if (!query_id->is_number() || query_id->AsNumber() < 0 ||
-        query_id->AsNumber() != std::floor(query_id->AsNumber())) {
-      return Status::InvalidArgument(
-          "'query_id' must be a non-negative integer");
-    }
-    request.query_id = static_cast<std::uint64_t>(query_id->AsNumber());
-    request.query_id_provided = true;
-  }
+  IF_RETURN_NOT_OK(
+      ParseQueryId(json, request.query_id, request.query_id_provided));
   const JsonValue* k = json.Find("topk");
-  if (k == nullptr || !k->is_number() || k->AsNumber() < 1 ||
-      k->AsNumber() != std::floor(k->AsNumber())) {
+  const auto parsed_k =
+      k == nullptr ? std::nullopt : JsonToInteger<std::size_t>(*k, 1);
+  if (!parsed_k) {
     return Status::InvalidArgument(
         "'topk' must be a positive integer (the seed-set size)");
   }
-  request.k = static_cast<std::size_t>(k->AsNumber());
+  request.k = *parsed_k;
   auto candidates = ParseNodeList(json, "candidate", "candidates");
   if (!candidates.ok()) return candidates.status();
   request.candidates = std::move(*candidates);
@@ -308,17 +309,9 @@ Result<QueryRequest> ParseRequest(const JsonValue& json) {
     request.id = id->AsString();
   }
 
-  // An upstream router (the --shard-procs parent) stamps the query id it
-  // minted into the forwarded line so replica spans join the same tree.
-  if (const JsonValue* query_id = json.Find("query_id")) {
-    if (!query_id->is_number() || query_id->AsNumber() < 0 ||
-        query_id->AsNumber() != std::floor(query_id->AsNumber())) {
-      return Status::InvalidArgument(
-          "'query_id' must be a non-negative integer");
-    }
-    request.query_id = static_cast<std::uint64_t>(query_id->AsNumber());
-    request.query_id_provided = true;
-  }
+  // A client may stamp its own query id, so its spans carry an id it knows.
+  IF_RETURN_NOT_OK(
+      ParseQueryId(json, request.query_id, request.query_id_provided));
 
   auto sources = ParseNodeList(json, "source", "sources");
   if (!sources.ok()) return sources.status();
@@ -437,9 +430,14 @@ std::string SerializeResult(const QueryRequest& request,
   return JsonValue(std::move(response)).Dump();
 }
 
-std::string SerializeParseError(const Status& status) {
+JsonValue RequestId(const JsonValue& json) {
+  const JsonValue* id = json.Find("id");
+  return id != nullptr && id->is_string() ? *id : JsonValue();
+}
+
+std::string SerializeParseError(const Status& status, JsonValue id) {
   JsonValue::Object response;
-  response["id"] = JsonValue();
+  response["id"] = std::move(id);
   response["ok"] = false;
   JsonValue::Object error;
   error["code"] = StatusCodeName(status.code());

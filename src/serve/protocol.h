@@ -82,7 +82,7 @@ std::string SerializeIngestError(const IngestRequest& request,
 ///
 /// `stats` answers with the metrics snapshot embedded as JSON plus a
 /// Prometheus text exposition; `health` with bank generation / model epoch /
-/// shard liveness / queue depth; `trace` arms, disarms, or exports the span
+/// ingest state and queue depth; `trace` arms, disarms, or exports the span
 /// ring buffers of the running daemon.
 struct AdminRequest {
   enum class Verb { kStats, kHealth, kTraceEnable, kTraceDisable,
@@ -100,10 +100,6 @@ bool IsAdminRequest(const JsonValue& json);
 
 /// \brief Parses one admin verb object.
 Result<AdminRequest> ParseAdminRequest(const JsonValue& json);
-
-/// \brief Error line for a malformed or unsupported admin verb.
-std::string SerializeAdminError(const AdminRequest& request,
-                                const Status& status);
 
 /// \brief One top-k seed-selection request on the serve connection
 /// (seedmax/: greedy max-coverage over the bank's reverse-reachable
@@ -157,8 +153,7 @@ std::string SerializeTopkError(const TopkRequest& request,
 
 /// \brief Process-wide monotonic query-id mint (first id is 1). The serve
 /// boundary stamps every query that arrives without one, so each request's
-/// spans — parse, plan, shard replay, merge — share an id across threads
-/// and (via `--shard-procs` forwarding) across processes.
+/// spans — parse, plan, replay, assemble — share an id across threads.
 std::uint64_t MintQueryId();
 
 /// \brief Parses one request object (already-parsed JSON). Range checks
@@ -174,8 +169,13 @@ Result<QueryRequest> ParseRequestLine(std::string_view line);
 std::string SerializeResult(const QueryRequest& request,
                             const QueryResult& result);
 
-/// \brief An error response for a line that failed to parse (no request to
-/// echo an id from; "id" is null).
-std::string SerializeParseError(const Status& status);
+/// \brief The client's id to echo for a request object: its "id" member
+/// when that is a string, null otherwise (including non-objects).
+JsonValue RequestId(const JsonValue& json);
+
+/// \brief An error response for a line that failed to parse. `id` is the
+/// echoed RequestId of a line that parsed as JSON; null for a line that is
+/// not JSON at all.
+std::string SerializeParseError(const Status& status, JsonValue id = {});
 
 }  // namespace infoflow::serve

@@ -330,10 +330,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const DirectedGraph> graph,
   strip_workspaces_.resize(pool_->size());
 }
 
-Status QueryEngine::ValidateRequest(const QueryRequest& request) const {
-  return ValidateQueryRequest(*graph_, request);
-}
-
 std::vector<QueryResult> QueryEngine::AnswerBatch(
     const BankGeneration& bank, const std::vector<QueryRequest>& requests) {
   std::vector<QueryResult> results(requests.size());

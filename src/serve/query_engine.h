@@ -98,11 +98,10 @@ struct QueryRequest {
   /// Caller-assigned id echoed in the response (protocol correlation).
   std::string id;
   /// Daemon-minted per-query trace id (serve/MintQueryId); 0 = unstamped.
-  /// Every TraceSpan in the query's lifetime carries it, including spans
-  /// recorded in `--shard-procs` replica processes.
+  /// Every TraceSpan in the query's lifetime carries it.
   std::uint64_t query_id = 0;
-  /// True when the wire request carried `query_id` explicitly (client or
-  /// upstream router); only then is it echoed in the response — minted ids
+  /// True when the wire request carried `query_id` explicitly; only then
+  /// is it echoed in the response — minted ids
   /// are internal, so identical runs stay byte-identical regardless of
   /// where the process-global mint counter happens to sit.
   bool query_id_provided = false;
@@ -158,16 +157,6 @@ struct QueryResult {
   /// (batch attribution: every member of a batch reports the batch's
   /// latency). Feeds the slow-query log and latency histograms.
   double latency_ms = 0.0;
-  /// Cut-frontier exchange rounds of the batch (sharded engines; 0 on the
-  /// single engine). Batch attribution, like latency_ms.
-  std::uint64_t exchange_rounds = 0;
-  /// Cut-frontier words delivered to ghosts during the batch (sharded
-  /// engines; 0 on the single engine). Batch attribution.
-  std::uint64_t cut_frontier_words = 0;
-  /// Per-shard replay wall-clock of the batch, milliseconds (CPU-time
-  /// summed across workers; empty on the single engine). Batch
-  /// attribution; feeds the slow-query log's shard timings.
-  std::vector<double> shard_replay_ms;
   /// Which estimator actually answered (never kAuto): kAnalytic when the
   /// dispatcher took the sampling-free path, kBank for row replay. Stamped
   /// into the serve NDJSON response, trace spans, and the slow-query log.
@@ -213,11 +202,9 @@ struct QueryEngineOptions {
 
 /// \brief Routes queries between the analytic estimator and bank replay.
 ///
-/// Shared by QueryEngine and ShardedQueryEngine so single- and sharded-
-/// process deployments answer identically (bit-for-bit, which
-/// tests/test_shard.cc asserts): the dispatcher partitions a batch into
-/// analytically-answered results and bank-bound requests, the caller runs
-/// its own replay machinery over the latter, and `Merge` re-interleaves.
+/// QueryEngine::AnswerBatch runs it first: the dispatcher partitions a
+/// batch into analytically-answered results and bank-bound requests, the
+/// engine replays the latter over bank rows, and `Merge` re-interleaves.
 class BackendDispatcher {
  public:
   explicit BackendDispatcher(const DirectedGraph& graph,
@@ -270,9 +257,6 @@ class QueryEngine {
  private:
   QueryEngine(std::shared_ptr<const DirectedGraph> graph,
               QueryEngineOptions options);
-
-  /// Validates one request against the graph.
-  Status ValidateRequest(const QueryRequest& request) const;
 
   std::shared_ptr<const DirectedGraph> graph_;
   QueryEngineOptions options_;

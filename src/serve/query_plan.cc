@@ -35,8 +35,7 @@ KindLatency MakeKindLatency(const char* kind) {
           &obs::GetGauge(base + ".p99")};
 }
 
-/// The serve.query.* instruments, shared by every engine flavor so a
-/// sharded server's dashboards read the same series as a single one.
+/// The serve.query.* instruments, shared by every engine flavor.
 struct PlanMetrics {
   obs::Counter* batches = &obs::GetCounter("serve.query.batches_total");
   obs::Counter* requests = &obs::GetCounter("serve.query.requests_total");
@@ -264,7 +263,6 @@ std::vector<QueryResult> RunQueryPlan(
 
   for (GivenSet& set : given_sets) {
     obs::TraceSpan mask_span("serve/plan/given_mask", batch_query_id);
-    ops.BeginGroup(batch_query_id);
     std::atomic<bool> expired{false};
     std::vector<std::size_t> partial(num_tasks, 0);
     ParallelFor(pool, num_tasks, [&](std::size_t t) {
@@ -363,7 +361,6 @@ std::vector<QueryResult> RunQueryPlan(
         group.members.empty() ? batch_query_id
                               : requests[group.members.front()].query_id;
     obs::TraceSpan group_span("serve/plan/scan_group", group_query_id);
-    ops.BeginGroup(group_query_id);
     metrics.group_size->Record(static_cast<double>(group.members.size()));
     if (group.members.size() > 1) {
       metrics.frontier_merged->Increment(group.members.size() - 1);
@@ -480,14 +477,8 @@ std::vector<QueryResult> RunQueryPlan(
 
   // --- Stamp batch-level cost onto every result and refresh the per-kind
   // latency quantile gauges.
-  const BlockOps::BatchStats batch_stats = ops.CollectBatchStats();
   const double batch_ms = timer.Millis();
-  for (QueryResult& result : results) {
-    result.latency_ms = batch_ms;
-    result.exchange_rounds = batch_stats.exchange_rounds;
-    result.cut_frontier_words = batch_stats.cut_frontier_words;
-    result.shard_replay_ms = batch_stats.shard_replay_ms;
-  }
+  for (QueryResult& result : results) result.latency_ms = batch_ms;
   metrics.latency_ms->Record(batch_ms);
   if constexpr (obs::MetricsEnabled()) {
     bool seen[3] = {false, false, false};

@@ -1,6 +1,5 @@
 /// \file query_plan.h
-/// \brief The engine-agnostic batch query skeleton shared by the single
-/// (QueryEngine) and sharded (ShardedQueryEngine) serve paths.
+/// \brief The engine-agnostic batch query skeleton behind QueryEngine.
 ///
 /// Everything about answering a batch *except* per-block reachability is
 /// pure bookkeeping over the bank's row/lane layout: request validation,
@@ -9,11 +8,9 @@
 /// scan, per-query deadlines, and assembling estimates + split-R̂/ESS/MCSE
 /// diagnostics from the indicator bitmaps. RunQueryPlan owns that skeleton;
 /// the caller plugs in a BlockOps that answers two questions about a single
-/// 64-row block. Because the sharded engine reuses the exact assembly code
-/// and only swaps the block ops — and its cross-shard fixpoint computes the
-/// same reached masks as a whole-graph BFS — shard-merged answers are
-/// bit-identical to the single-engine path, which tests/test_shard.cc
-/// checks differentially.
+/// 64-row block (or a strip of W blocks). The scalar, 64-lane and strip
+/// replays differ only in their block ops, so they share every line of
+/// assembly and answer bit-identically (tests/test_serve.cc).
 
 #pragma once
 
@@ -36,26 +33,6 @@ namespace infoflow::serve {
 class BlockOps {
  public:
   virtual ~BlockOps() = default;
-
-  /// \brief What one batch cost beyond row scans — the sharded engine
-  /// reports its cut-frontier exchange work here; the single engine has
-  /// none. Stamped onto every result of the batch (batch attribution).
-  struct BatchStats {
-    std::uint64_t exchange_rounds = 0;
-    std::uint64_t cut_frontier_words = 0;
-    /// Per-shard replay wall-clock summed over workers, milliseconds;
-    /// empty on the single engine.
-    std::vector<double> shard_replay_ms;
-  };
-
-  /// Called once before each scan group's parallel row scan, with the
-  /// query id attributed to that scan (0 when unstamped). Engines use it
-  /// to tag per-shard replay spans; the default ignores it.
-  virtual void BeginGroup(std::uint64_t query_id) { (void)query_id; }
-
-  /// Called once after all scans of a batch; returns (and resets) the
-  /// batch's accumulated stats. The default reports nothing.
-  virtual BatchStats CollectBatchStats() { return {}; }
 
   /// Lanes of `block` (restricted to `lanes`) whose rows satisfy every
   /// condition: the blockwise conditional indicator I(x, C) of Eq. 7–8.
@@ -101,8 +78,7 @@ class BlockOps {
   }
 };
 
-/// \brief The skeleton knobs, mirrored from QueryEngineOptions so both
-/// engines enforce identical floors and deadline-check cadence.
+/// \brief The skeleton knobs, mirrored from QueryEngineOptions.
 struct QueryPlanOptions {
   std::size_t min_conditional_rows = 32;
   std::size_t rows_per_task = 256;

@@ -60,9 +60,8 @@ std::shared_ptr<const StripPlane> BankGeneration::AcquireStripPlane(
     if (strip_planes_[slot]) return strip_planes_[slot];
   }
   // Interleave outside the lock; two first readers may race a duplicate
-  // build and the publish keeps one winner — the same keep-one discipline
-  // as ShardEngine::AcquireView, and the plane is pure function of the
-  // immutable edge-major plane either way.
+  // build and the publish keeps one winner — the plane is a pure function
+  // of the immutable edge-major plane either way.
   obs::TraceSpan span("serve/bank_strip_interleave");
   WallTimer timer;
   auto plane = std::make_shared<const StripPlane>(BuildStripPlane(

@@ -1,8 +1,6 @@
 #include "serve/transport.h"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <utility>
 
 #include <poll.h>
@@ -53,39 +51,6 @@ bool LineReader::TryNextLine(std::string& line) {
     return true;
   }
   return false;
-}
-
-bool LineReader::NextLineWithin(std::string& line, double deadline_ms,
-                                bool& timed_out) {
-  timed_out = false;
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             std::max(deadline_ms, 0.0)));
-  while (true) {
-    if (PopBufferedLine(line)) return true;
-    if (eof_) {
-      if (buffer_.empty()) return false;
-      line = std::move(buffer_);
-      buffer_.clear();
-      return true;
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (left.count() <= 0) {
-      timed_out = true;
-      return false;
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = poll(&pfd, 1, static_cast<int>(left.count()) + 1);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) {
-      timed_out = true;
-      return false;
-    }
-    FillOnce();
-  }
 }
 
 bool LineReader::PopBufferedLine(std::string& line) {

@@ -1,14 +1,8 @@
 /// \file transport.h
-/// \brief Byte-level NDJSON transport primitives shared by the serve tier.
-///
-/// The serve stack is split into three layers: **transport** (this file —
-/// buffered line framing over POSIX fds, nothing protocol- or
-/// query-aware), **router** (serve/router.h — splitting batches across
-/// shard engines or shard processes and merging answers), and
-/// **shard-engine** (serve/shard_engine.h + serve/query_engine.h — the
-/// per-shard replay of Eq. 5 over bank rows). Server (serve/server.h) wires
-/// the three together; the multi-process router reuses the same reader to
-/// speak the unchanged NDJSON wire protocol to shard children.
+/// \brief Byte-level NDJSON transport primitives for the serve daemon:
+/// buffered line framing over POSIX fds, nothing protocol- or query-aware.
+/// Server (serve/server.h) reads request lines with LineReader and writes
+/// response batches with WriteAll.
 
 #pragma once
 
@@ -36,13 +30,6 @@ class LineReader {
   /// has readable data that completes one; false otherwise (never blocks
   /// past a single read of already-available bytes).
   bool TryNextLine(std::string& line);
-
-  /// \brief Bounded-blocking: like NextLine but gives up once
-  /// `deadline_ms` milliseconds (from the call) elapse without a complete
-  /// line. Returns true with a line, or false with `timed_out` telling EOF
-  /// (false) apart from deadline expiry (true) — the router's per-batch
-  /// child deadline.
-  bool NextLineWithin(std::string& line, double deadline_ms, bool& timed_out);
 
  private:
   bool PopBufferedLine(std::string& line);

@@ -12,9 +12,13 @@
 
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,5 +98,22 @@ class JsonValue {
 /// is an error, as are unterminated strings/containers, so a truncated
 /// protocol line fails loudly instead of yielding a partial request.
 Result<JsonValue> ParseJson(std::string_view text);
+
+/// \brief The JSON number `value` as an integer of type T, or nullopt
+/// unless it is a number holding an integer in [min, T's max]. The range is
+/// checked before the conversion, because converting a double outside the
+/// target type's range is undefined behaviour.
+template <std::integral T>
+std::optional<T> JsonToInteger(const JsonValue& value, T min = 0) {
+  if (!value.is_number()) return std::nullopt;
+  const double number = value.AsNumber();
+  // 2^digits is exact as a double and is the first integer past T's max.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(number >= static_cast<double>(min) && number < limit) ||
+      number != std::floor(number)) {
+    return std::nullopt;
+  }
+  return static_cast<T>(number);
+}
 
 }  // namespace infoflow

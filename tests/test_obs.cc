@@ -447,31 +447,6 @@ TEST(Tracing, SpansExportTheirQueryIdAsArgs) {
   Tracing::Clear();
 }
 
-TEST(Tracing, ImportedSpansKeepTheirPidTidAndQueryId) {
-  Tracing::Clear();
-  Tracing::Enable();
-  Tracing::ImportSpan("replica/span", /*pid=*/3, /*tid=*/17, /*ts_us=*/5.0,
-                      /*dur_us=*/2.5, /*query_id=*/9);
-  Tracing::Disable();
-  MiniJson::Value root;
-  ASSERT_TRUE(MiniJson::Parse(Tracing::ExportChromeJson(), &root));
-  bool found = false;
-  for (const MiniJson::Value& event : root.object.at("traceEvents").array) {
-    if (event.object.at("name").string != "replica/span") continue;
-    found = true;
-    EXPECT_EQ(event.object.at("pid").number, 3.0);
-    EXPECT_EQ(event.object.at("tid").number, 17.0);
-    EXPECT_EQ(event.object.at("ts").number, 5.0);
-    EXPECT_EQ(event.object.at("dur").number, 2.5);
-    EXPECT_EQ(event.object.at("args").object.at("query_id").number, 9.0);
-  }
-  EXPECT_TRUE(found);
-  Tracing::Clear();
-  // Clear drops imported events along with the ring buffers.
-  EXPECT_EQ(Tracing::ExportChromeJson().find("replica/span"),
-            std::string::npos);
-}
-
 // ----------------------------------------------------- quantiles and merging
 
 TEST(HistogramSnapshot, QuantileInterpolatesWithinBuckets) {

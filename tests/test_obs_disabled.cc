@@ -84,9 +84,6 @@ TEST(ObsDisabled, TracingIsInertAndExportsValidEmptyJson) {
   EXPECT_FALSE(Tracing::IsEnabled());
   { TraceSpan span("disabled/span"); }
   { TraceSpan tagged("disabled/tagged", /*query_id=*/42); }
-  Tracing::ImportSpan("disabled/imported", 2, 7, 1.0, 2.0, 9);
-  Tracing::EmitSpan("disabled/emitted", 1, 2, 3);
-  EXPECT_EQ(Tracing::NowNanos(), 0u);
   Tracing::Disable();
   EXPECT_EQ(Tracing::DroppedEvents(), 0u);
   EXPECT_EQ(Tracing::ExportChromeJson(), "{\"traceEvents\":[]}");

@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
+
 #include "core/serialization.h"
 #include "graph/generators.h"
 #include "learn/evidence_io.h"
 #include "twitter/retweet_parser.h"
 #include "twitter/tweet_io.h"
+#include "serve/protocol.h"
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace infoflow {
 namespace {
@@ -145,6 +152,93 @@ TEST(ParserRobustness, EvidenceIoHostileNearMisses) {
   EXPECT_FALSE(DeserializeUnattributedEvidence(
                    "infoflow-traces v1\ntraces 1\n-3:1.0\n")
                    .ok());
+}
+
+TEST(ParserRobustness, JsonToIntegerChecksTheRangeBeforeConverting) {
+  constexpr double kTwoTo53 = 9007199254740992.0;
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  // NodeId: its max converts, the next integer up does not.
+  EXPECT_EQ(JsonToInteger<NodeId>(JsonValue(4294967295.0)),
+            std::numeric_limits<NodeId>::max());
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(4294967296.0)));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(1e20)));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(1e300)));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(inf)));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(-inf)));
+  EXPECT_FALSE(
+      JsonToInteger<NodeId>(JsonValue(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(-1.0)));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue(0.5)));
+  EXPECT_FALSE(JsonToInteger<NodeId>(JsonValue("3")));
+  // 64-bit targets: 2^53 and 2^63 convert exactly; 2^64 (the double that
+  // uint64's max rounds to) is out of range.
+  EXPECT_EQ(JsonToInteger<std::uint64_t>(JsonValue(kTwoTo53)),
+            std::uint64_t{1} << 53);
+  EXPECT_EQ(JsonToInteger<std::uint64_t>(JsonValue(kTwoTo53 * 1024.0)),
+            std::uint64_t{1} << 63);
+  EXPECT_FALSE(JsonToInteger<std::uint64_t>(JsonValue(kTwoTo64)));
+  // The lower bound is the caller's.
+  EXPECT_FALSE(JsonToInteger<std::size_t>(JsonValue(0.0), 1));
+  EXPECT_EQ(JsonToInteger<std::size_t>(JsonValue(1.0), 1), 1u);
+  EXPECT_EQ(JsonToInteger<int>(JsonValue(-5.0), -10), -5);
+  EXPECT_FALSE(JsonToInteger<int>(JsonValue(2147483648.0), -10));
+}
+
+/// The status code name a protocol parse ends in ("ok" on success).
+template <typename ParseFn>
+std::string ParseOutcome(std::string_view line, ParseFn parse) {
+  auto json = ParseJson(line);
+  if (!json.ok()) return StatusCodeName(json.status().code());
+  auto parsed = parse(*json);
+  return parsed.ok() ? "ok" : StatusCodeName(parsed.status().code());
+}
+
+TEST(ParserRobustness, ProtocolRejectsOutOfRangeNumbersAsInvalidArgument) {
+  const auto query = [](const JsonValue& json) {
+    return serve::ParseRequest(json);
+  };
+  const auto topk = [](const JsonValue& json) {
+    return serve::ParseTopkRequest(json);
+  };
+  const auto admin = [](const JsonValue& json) {
+    return serve::ParseAdminRequest(json);
+  };
+  for (const char* line : {
+           R"({"id":"a","source":1e300,"sink":1})",
+           R"({"id":"b","source":0,"sink":1e20})",
+           R"({"source":0,"sink":4294967296})",
+           R"({"sources":[0,1e300],"sink":1})",
+           R"({"source":0,"sinks":[1,-1]})",
+           R"({"source":0,"sink":1,"query_id":1e20})",
+           R"({"source":0,"sink":1,"query_id":18446744073709551616})",
+       }) {
+    EXPECT_EQ(ParseOutcome(line, query), "invalid-argument") << line;
+  }
+  for (const char* line : {
+           R"({"id":"c","topk":1e300})",
+           R"({"topk":1e20})",
+           R"({"topk":0})",
+           R"({"topk":2.5})",
+           R"({"topk":3,"query_id":1e300})",
+           R"({"topk":2,"candidates":[1e300]})",
+           R"({"topk":2,"community":[4294967296]})",
+       }) {
+    EXPECT_EQ(ParseOutcome(line, topk), "invalid-argument") << line;
+  }
+  EXPECT_EQ(ParseOutcome(
+                R"({"trace":{"enable":true,"events_per_thread":1e300}})",
+                admin),
+            "invalid-argument");
+
+  // The edge values themselves parse: the largest NodeId (which the engine
+  // then answers as out of range for this graph) and a 2^53 query id.
+  auto edge = serve::ParseRequestLine(
+      R"({"source":4294967295,"sink":0,"query_id":9007199254740992})");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->sources.front(), std::numeric_limits<NodeId>::max());
+  EXPECT_EQ(edge->query_id, std::uint64_t{1} << 53);
+  EXPECT_EQ(ParseOutcome(R"({"topk":9007199254740992})", topk), "ok");
 }
 
 }  // namespace

@@ -245,8 +245,8 @@ TEST(StripReachability, IncrementalSeedPropagateMatchesOneShot) {
     const NodeId b = static_cast<NodeId>((trial * 11 + 3) % 30);
     StripReachabilityWorkspace<4> oneshot(g);
     oneshot.Run(g, {a, b}, strip.strip_words.data(), strip.lane_mask.data());
-    // The sharded router's exchange pattern: stage the seeds across several
-    // Propagate rounds, upgrading lanes as cut-edge masks arrive.
+    // The incremental API seedmax/rr_index.cc uses, staged across several
+    // Propagate rounds: later seeds upgrade lanes a node already holds.
     StripReachabilityWorkspace<4> inc(g);
     inc.Begin(g);
     std::array<std::uint64_t, 4> partial = {strip.lane_mask[0], 0, 0,

@@ -91,3 +91,16 @@ sleep 3; kill -TERM $pid; wait $pid"
     endif()
   endif()
 endif()
+
+# serve rejects flags it does not read (a typo, or a removed flag such as
+# --shards) instead of silently serving without them.
+execute_process(
+  COMMAND ${CLI} serve --model ${WORK_DIR}/model.bicm --shards 4
+  RESULT_VARIABLE unknown_code
+  ERROR_VARIABLE unknown_stderr
+  INPUT_FILE /dev/null)
+if(NOT unknown_code EQUAL 1 OR NOT unknown_stderr MATCHES "unknown flag --shards")
+  message(FATAL_ERROR
+          "serve --shards 4 exited ${unknown_code} with '${unknown_stderr}'; "
+          "expected 1 and 'unknown flag --shards'")
+endif()

@@ -35,19 +35,14 @@
 /// successful run; `query --progress` streams live throughput and R-hat to
 /// stderr.
 
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,7 +53,6 @@
 #include "core/serialization.h"
 #include "seedmax/rr_index.h"
 #include "seedmax/seed_selector.h"
-#include "serve/router.h"
 #include "serve/sample_bank.h"
 #include "serve/server.h"
 #include "stream/ingestor.h"
@@ -122,15 +116,16 @@ class Flags {
     return std::strtoull(raw.c_str(), nullptr, 10);
   }
 
+  /// The integer value of `key`, or nullopt when the flag is absent.
+  std::optional<std::uint64_t> FindInt(const std::string& key) {
+    const std::string raw = Get(key, "");
+    if (raw.empty()) return std::nullopt;
+    return std::strtoull(raw.c_str(), nullptr, 10);
+  }
+
   double GetDouble(const std::string& key, double fallback) {
     const std::string raw = Get(key, FormatDouble(fallback, 17));
     return std::strtod(raw.c_str(), nullptr);
-  }
-
-  /// Overrides a flag programmatically (the --shard-procs fork path
-  /// rewrites the child's configuration before re-dispatching serve).
-  void Set(const std::string& key, std::string value) {
-    values_.insert_or_assign(key, std::move(value));
   }
 
   Result<std::string> Require(const std::string& key) {
@@ -461,8 +456,6 @@ int CmdQuery(Flags& flags) {
 
 // ------------------------------------------------------------------ serve
 
-int CmdServe(Flags& flags);  // children re-enter it after the fork
-
 /// Raised by SIGTERM/SIGINT; the serve loops poll it and read it as EOF,
 /// so a signalled daemon unwinds cleanly and still writes --metrics-json /
 /// --trace-json artifacts.
@@ -481,118 +474,25 @@ void InstallServeSignalHandlers() {
   sigaction(SIGINT, &sa, nullptr);
 }
 
-/// Shared-nothing multi-process serving: forks `shard_procs` children
-/// BEFORE any thread exists, each building a full bank replica (same model,
-/// same --seed → bit-identical rows and answers) and serving the NDJSON
-/// protocol on its end of a socketpair; the parent runs a ProcessRouter
-/// bridging stdin/stdout. Children never refresh (replicas must not
-/// diverge) and ingest is rejected up front for the same reason.
-int ServeShardProcs(Flags& flags, std::size_t shard_procs) {
-  if (flags.GetBool("ingest") || !flags.Get("ingest-from", "").empty()) {
-    return Fail(Status::InvalidArgument(
-        "--shard-procs is shared-nothing (round-robin over replicas); "
-        "streamed evidence would reach only one replica — use in-process "
-        "--shards with --ingest instead"));
-  }
-  if (flags.GetDouble("refresh-ms", 0.0) != 0.0) {
-    return Fail(Status::InvalidArgument(
-        "--refresh-ms would let shard replicas drift apart; --shard-procs "
-        "serves the boot generation only"));
-  }
-  signal(SIGPIPE, SIG_IGN);
-  std::vector<int> child_fds;
-  std::vector<pid_t> children;
-  for (std::size_t k = 0; k < shard_procs; ++k) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      return Fail(Status::IOError("socketpair(): ", std::strerror(errno)));
-    }
-    const pid_t pid = fork();
-    if (pid < 0) return Fail(Status::IOError("fork(): ", std::strerror(errno)));
-    if (pid == 0) {
-      // Child: full replica with the socketpair as its stdio — CmdServe's
-      // foreground ServeStdio loop then speaks NDJSON to the router and
-      // exits when the router closes its end.
-      close(sv[0]);
-      for (const int fd : child_fds) close(fd);
-      dup2(sv[1], 0);
-      dup2(sv[1], 1);
-      if (sv[1] > 1) close(sv[1]);
-      // A replica keeps the parent's --shards flag: each child may itself
-      // run the in-process sharded engine, so router spans, shard replay
-      // spans, and replica spans all join one query_id-keyed trace tree.
-      // Periodic writers are router-side concerns — P replicas rewriting
-      // the same artifact paths would clobber each other.
-      flags.Set("stats-every", "0");
-      flags.Set("slow-query-ms", "0");
-      const int code = CmdServe(flags);
-      std::fflush(nullptr);
-      std::_Exit(code);
-    }
-    close(sv[1]);
-    child_fds.push_back(sv[0]);
-    children.push_back(pid);
-  }
-  serve::ProcessRouter::Options router_options;
-  router_options.max_batch = flags.GetInt("max-batch", 64);
-  router_options.child_timeout_ms = flags.GetDouble("shard-timeout-ms", 0.0);
-  router_options.interrupt = &g_serve_interrupt;
-  InstallServeSignalHandlers();
-  Status status;
-  {
-    serve::ProcessRouter router(std::move(child_fds), router_options);
-    status = router.Serve(0, 1);
-    if (status.ok() && !flags.Get("trace-json", "").empty()) {
-      // Pull every replica's spans into the router's trace state before
-      // the children go away; Main's --trace-json write then exports the
-      // merged per-query span tree.
-      (void)router.MergedTraceExport();
-    }
-    // Router destruction closes the child fds → each replica's serve loop
-    // sees EOF and exits; reap them so no zombies outlive the command.
-  }
-  for (const pid_t pid : children) {
-    int wstatus = 0;
-    (void)waitpid(pid, &wstatus, 0);
-  }
-  if (!status.ok()) return Fail(status);
-  return 0;
-}
-
 int CmdServe(Flags& flags) {
   auto model_path = flags.Require("model");
-  if (!model_path.ok()) return Fail(model_path.status());
   const std::uint64_t seed = flags.GetInt("seed", 1);
-  const std::size_t shard_procs = flags.GetInt("shard-procs", 0);
-  if (shard_procs > 0) {
-    flags.Set("shard-procs", "0");  // children take the in-process path
-    return ServeShardProcs(flags, shard_procs);
-  }
-  // Catch SIGTERM/SIGINT from the start: a signal during bank warm-up is
-  // remembered and read as EOF once the serve loop begins, so a signalled
-  // daemon always unwinds cleanly and writes its observability artifacts.
-  InstallServeSignalHandlers();
-
-  auto model = LoadAnyModel(*model_path);
-  if (!model.ok()) return Fail(model.status());
-  const std::size_t num_edges = model->graph().num_edges();
 
   serve::BankOptions bank_options;
   bank_options.num_states = flags.GetInt("bank-states", 4096);
   bank_options.chain.num_chains =
       std::max<std::size_t>(1, flags.GetInt("chains", 4));
   bank_options.chain.num_threads = flags.GetInt("threads", 0);
-  bank_options.chain.mh.burn_in = flags.GetInt("burn-in", 4 * num_edges);
-  bank_options.chain.mh.thinning = flags.GetInt(
-      "thinning", std::max<std::size_t>(8, num_edges / 8));
+  // Burn-in and thinning default to multiples of the model's edge count,
+  // which is known only once the model is loaded.
+  const std::optional<std::uint64_t> burn_in = flags.FindInt("burn-in");
+  const std::optional<std::uint64_t> thinning = flags.FindInt("thinning");
 
   serve::ServerOptions server_options;
   server_options.max_batch = flags.GetInt("max-batch", 64);
   server_options.socket_path = flags.Get("socket", "");
   server_options.refresh_interval_ms = flags.GetDouble("refresh-ms", 0.0);
   server_options.drift_threshold = flags.GetDouble("drift-threshold", 0.0);
-  server_options.num_shards = flags.GetInt("shards", 1);
-  server_options.partition_seed = flags.GetInt("partition-seed", 7);
   server_options.engine.min_conditional_rows =
       flags.GetInt("min-conditional-rows", 32);
   server_options.engine.num_threads = flags.GetInt("threads", 0);
@@ -604,51 +504,72 @@ int CmdServe(Flags& flags) {
   // 4/8-word strips, auto picks the widest strip the bank fills. Answers
   // are bit-identical at every width.
   auto lanes = ParseLaneWidth(flags.Get("lanes", "auto"));
-  if (!lanes.ok()) return Fail(lanes.status());
-  server_options.engine.lanes = *lanes;
   // Default backend for wire requests that don't name one; per-request
   // "backend" fields override it.
   auto default_backend =
       serve::ParseQueryBackend(flags.Get("backend", "bank"));
-  if (!default_backend.ok()) return Fail(default_backend.status());
-  server_options.engine.default_backend = *default_backend;
   // --stats-every refreshes the --metrics-json artifact periodically while
   // the daemon runs (atomically, via rename), instead of only at exit.
   server_options.stats_interval_ms = flags.GetDouble("stats-every", 0.0);
+  server_options.slow_query_ms = flags.GetDouble("slow-query-ms", 0.0);
+  server_options.slow_query_path = flags.Get("slow-query-log", "");
+  server_options.interrupt = &g_serve_interrupt;
+
+  // Streaming ingestion: --ingest enables the serve-connection verb,
+  // --ingest-from additionally tails a file/FIFO side channel. The tuning
+  // flags are read either way, so they never count as unknown.
+  const std::string ingest_from = flags.Get("ingest-from", "");
+  const bool ingest_enabled = flags.GetBool("ingest") || !ingest_from.empty();
+  stream::IngestorOptions ingest_options;
+  ingest_options.trainer.decay = flags.GetDouble("decay", 1.0);
+  ingest_options.trainer.window = flags.GetInt("window", 0);
+  ingest_options.epoch_every = flags.GetInt("epoch-every", 64);
+  ingest_options.queue_capacity = flags.GetInt("queue-capacity", 1024);
+  ingest_options.seed = seed;
+  const std::string queue_policy = flags.Get("queue-policy", "park");
+  const std::string ingest_format = flags.Get("ingest-format", "auto");
+
+  // Every serve flag has been read: anything left over is a typo or a
+  // removed flag, and fails here rather than being silently ignored.
+  const Status unused = flags.CheckUnused();
+  if (!unused.ok()) return Fail(unused);
+  if (!model_path.ok()) return Fail(model_path.status());
+  if (!lanes.ok()) return Fail(lanes.status());
+  server_options.engine.lanes = *lanes;
+  if (!default_backend.ok()) return Fail(default_backend.status());
+  server_options.engine.default_backend = *default_backend;
   if (server_options.stats_interval_ms > 0.0) {
+    // Main reads --metrics-json for every command, so it is never unused.
     server_options.stats_path = flags.Get("metrics-json", "");
     if (server_options.stats_path.empty()) {
       return Fail(Status::InvalidArgument(
           "--stats-every needs --metrics-json (the snapshot destination)"));
     }
   }
-  server_options.slow_query_ms = flags.GetDouble("slow-query-ms", 0.0);
-  server_options.slow_query_path = flags.Get("slow-query-log", "");
   if (server_options.slow_query_ms > 0.0 &&
       server_options.slow_query_path.empty()) {
     return Fail(Status::InvalidArgument(
         "--slow-query-ms needs --slow-query-log (the NDJSON destination)"));
   }
-  server_options.interrupt = &g_serve_interrupt;
 
-  // Streaming ingestion: --ingest enables the serve-connection verb,
-  // --ingest-from additionally tails a file/FIFO side channel.
-  const std::string ingest_from = flags.Get("ingest-from", "");
-  const bool ingest_enabled = flags.GetBool("ingest") || !ingest_from.empty();
+  // Catch SIGTERM/SIGINT from the start: a signal during bank warm-up is
+  // remembered and read as EOF once the serve loop begins, so a signalled
+  // daemon always unwinds cleanly and writes its observability artifacts.
+  InstallServeSignalHandlers();
+
+  auto model = LoadAnyModel(*model_path);
+  if (!model.ok()) return Fail(model.status());
+  const std::size_t num_edges = model->graph().num_edges();
+  bank_options.chain.mh.burn_in = burn_in.value_or(4 * num_edges);
+  bank_options.chain.mh.thinning =
+      thinning.value_or(std::max<std::size_t>(8, num_edges / 8));
+
   std::shared_ptr<stream::StreamIngestor> ingestor;
   if (ingest_enabled) {
-    stream::IngestorOptions ingest_options;
-    ingest_options.trainer.decay = flags.GetDouble("decay", 1.0);
-    ingest_options.trainer.window = flags.GetInt("window", 0);
-    ingest_options.epoch_every = flags.GetInt("epoch-every", 64);
-    ingest_options.queue_capacity = flags.GetInt("queue-capacity", 1024);
-    ingest_options.seed = seed;
-    auto policy =
-        stream::ParseQueueOverflowPolicy(flags.Get("queue-policy", "park"));
+    auto policy = stream::ParseQueueOverflowPolicy(queue_policy);
     if (!policy.ok()) return Fail(policy.status());
     ingest_options.queue_policy = *policy;
-    auto format =
-        stream::ParseStreamFormat(flags.Get("ingest-format", "auto"));
+    auto format = stream::ParseStreamFormat(ingest_format);
     if (!format.ok()) return Fail(format.status());
     ingest_options.format = *format;
     const Status valid = ingest_options.Validate();
@@ -937,13 +858,6 @@ int Usage() {
       "                      [--backend auto|analytic|bank] (default backend\n"
       "                      for requests without a \"backend\" field)\n"
       "                      (NDJSON queries on stdin -> responses on stdout)\n"
-      "    sharding:         [--shards N] (partition the graph, one engine\n"
-      "                      per shard, bit-identical answers; N=1 is the\n"
-      "                      plain single-engine path)\n"
-      "                      [--partition-seed S] [--shard-procs P] (fork P\n"
-      "                      full-replica child processes, round-robin NDJSON\n"
-      "                      routing; excludes --ingest/--refresh-ms)\n"
-      "                      [--shard-timeout-ms T] (per-batch child deadline)\n"
       "    streaming:        [--ingest] ({\"ingest\":\"<record>\"} lines on the\n"
       "                      connection) [--ingest-from path] (tail a file or\n"
       "                      FIFO of evidence lines) [--ingest-format\n"
@@ -977,9 +891,7 @@ int Usage() {
       "observability (any command, written after a successful run):\n"
       "  --metrics-json P    dump the metrics registry snapshot as JSON\n"
       "  --metrics-csv P     same snapshot as CSV\n"
-      "  --trace-json P      record spans; dump chrome://tracing JSON\n"
-      "                      (serve --shard-procs merges replica spans into\n"
-      "                      one query_id-keyed tree)\n");
+      "  --trace-json P      record spans; dump chrome://tracing JSON\n");
   return 2;
 }
 
