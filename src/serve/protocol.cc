@@ -77,6 +77,69 @@ Result<FlowConditions> ParseConditionsField(const JsonValue& json,
   return ParseFlowConditions(value->AsString());
 }
 
+/// Streams one JSON object into a string. Callers add members in ascending
+/// key order, the order a JsonValue::Object (a std::map) dumps in, so the
+/// bytes equal those of a JsonValue tree holding the same members.
+class ObjectWriter {
+ public:
+  explicit ObjectWriter(std::string& out) : out_(out) { out_.push_back('{'); }
+
+  /// Writes `"key":` and returns the buffer for the value.
+  std::string& Key(std::string_view key) {
+    if (!first_) out_.push_back(',');
+    first_ = false;
+    AppendJsonString(out_, key);
+    out_.push_back(':');
+    return out_;
+  }
+  void Number(std::string_view key, double value) {
+    AppendJsonNumber(Key(key), value);
+  }
+  void String(std::string_view key, std::string_view value) {
+    AppendJsonString(Key(key), value);
+  }
+  void Bool(std::string_view key, bool value) {
+    Key(key) += value ? "true" : "false";
+  }
+  void Close() { out_.push_back('}'); }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// "error":{"code":...,"message":...}
+void WriteError(ObjectWriter& response, const Status& status) {
+  ObjectWriter error(response.Key("error"));
+  error.String("code", StatusCodeName(status.code()));
+  error.String("message", status.message());
+  error.Close();
+}
+
+/// "query_id", echoed only when the client itself put it on the wire: a
+/// server-minted one is observability plumbing (trace spans, slow-query
+/// log), and echoing it would break the byte-identical guarantee between
+/// otherwise-identical runs whose mint counters differ.
+void WriteQueryId(ObjectWriter& response, bool provided,
+                  std::uint64_t query_id) {
+  if (provided && query_id != 0) {
+    response.Number("query_id", static_cast<double>(query_id));
+  }
+}
+
+/// The failure line shared by queries and top-k requests:
+/// {"error":{...},"id":...,"ok":false[,"query_id":...]}.
+void AppendRequestError(std::string& out, const std::string& id,
+                        bool query_id_provided, std::uint64_t query_id,
+                        const Status& status) {
+  ObjectWriter response(out);
+  WriteError(response, status);
+  response.String("id", id);
+  response.Bool("ok", false);
+  WriteQueryId(response, query_id_provided, query_id);
+  response.Close();
+}
+
 }  // namespace
 
 bool IsIngestRequest(const JsonValue& json) {
@@ -196,55 +259,45 @@ Result<TopkRequest> ParseTopkRequest(const JsonValue& json) {
   return request;
 }
 
-std::string SerializeTopkResult(const TopkRequest& request,
-                                const seedmax::SeedMaxResult& result) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  // Like SerializeResult: only a client-provided query_id is echoed, so
-  // responses stay byte-identical between runs whose mint counters differ.
-  if (request.query_id_provided && request.query_id != 0) {
-    response["query_id"] = static_cast<double>(request.query_id);
+void SerializeTopkResult(const TopkRequest& request,
+                         const seedmax::SeedMaxResult& result,
+                         std::string& out) {
+  ObjectWriter response(out);
+  response.Number("effective_rows", static_cast<double>(result.effective_rows));
+  response.Number("evaluations", static_cast<double>(result.evaluations));
+  response.Number("generation", static_cast<double>(result.generation));
+  response.String("id", request.id);
+  response.String("kind", "topk");
+  response.Number("mcse", result.mcse);
+  response.Number("model_epoch", static_cast<double>(result.model_epoch));
+  response.Bool("ok", true);
+  response.Number("prune_hits", static_cast<double>(result.prune_hits));
+  WriteQueryId(response, request.query_id_provided, request.query_id);
+  std::string& seeds = response.Key("seeds");
+  seeds.push_back('[');
+  for (std::size_t i = 0; i < result.picks.size(); ++i) {
+    const seedmax::SeedPick& pick = result.picks[i];
+    if (i > 0) seeds.push_back(',');
+    ObjectWriter entry(seeds);
+    entry.Number("marginal_coverage",
+                 static_cast<double>(pick.marginal_coverage));
+    entry.Number("mcse", pick.mcse);
+    entry.Number("node", static_cast<double>(pick.node));
+    entry.Number("spread", pick.spread);
+    entry.Close();
   }
-  response["ok"] = true;
-  response["kind"] = "topk";
-  response["generation"] = static_cast<double>(result.generation);
-  response["model_epoch"] = static_cast<double>(result.model_epoch);
-  response["total_rows"] = static_cast<double>(result.total_rows);
-  response["effective_rows"] = static_cast<double>(result.effective_rows);
-  response["universe"] = static_cast<double>(result.universe);
-  response["sketches"] = static_cast<double>(result.num_sketches);
-  response["evaluations"] = static_cast<double>(result.evaluations);
-  response["prune_hits"] = static_cast<double>(result.prune_hits);
-  JsonValue::Array seeds;
-  seeds.reserve(result.picks.size());
-  for (const seedmax::SeedPick& pick : result.picks) {
-    JsonValue::Object entry;
-    entry["node"] = static_cast<double>(pick.node);
-    entry["marginal_coverage"] =
-        static_cast<double>(pick.marginal_coverage);
-    entry["spread"] = pick.spread;
-    entry["mcse"] = pick.mcse;
-    seeds.push_back(std::move(entry));
-  }
-  response["seeds"] = std::move(seeds);
-  response["spread"] = result.spread;
-  response["mcse"] = result.mcse;
-  return JsonValue(std::move(response)).Dump();
+  seeds.push_back(']');
+  response.Number("sketches", static_cast<double>(result.num_sketches));
+  response.Number("spread", result.spread);
+  response.Number("total_rows", static_cast<double>(result.total_rows));
+  response.Number("universe", static_cast<double>(result.universe));
+  response.Close();
 }
 
-std::string SerializeTopkError(const TopkRequest& request,
-                               const Status& status) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  if (request.query_id_provided && request.query_id != 0) {
-    response["query_id"] = static_cast<double>(request.query_id);
-  }
-  response["ok"] = false;
-  JsonValue::Object error;
-  error["code"] = StatusCodeName(status.code());
-  error["message"] = status.message();
-  response["error"] = std::move(error);
-  return JsonValue(std::move(response)).Dump();
+void SerializeTopkError(const TopkRequest& request, const Status& status,
+                        std::string& out) {
+  AppendRequestError(out, request.id, request.query_id_provided,
+                     request.query_id, status);
 }
 
 std::uint64_t MintQueryId() {
@@ -272,29 +325,26 @@ Result<IngestRequest> ParseIngestRequest(const JsonValue& json) {
   return request;
 }
 
-std::string SerializeIngestAck(const IngestRequest& request,
-                               std::uint64_t absorbed_total,
-                               std::uint64_t epoch) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  response["ok"] = true;
-  response["ingested"] = true;
-  response["absorbed_total"] = static_cast<double>(absorbed_total);
-  response["epoch"] = static_cast<double>(epoch);
-  return JsonValue(std::move(response)).Dump();
+void SerializeIngestAck(const IngestRequest& request,
+                        std::uint64_t absorbed_total, std::uint64_t epoch,
+                        std::string& out) {
+  ObjectWriter response(out);
+  response.Number("absorbed_total", static_cast<double>(absorbed_total));
+  response.Number("epoch", static_cast<double>(epoch));
+  response.String("id", request.id);
+  response.Bool("ingested", true);
+  response.Bool("ok", true);
+  response.Close();
 }
 
-std::string SerializeIngestError(const IngestRequest& request,
-                                 const Status& status) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  response["ok"] = false;
-  response["ingested"] = false;
-  JsonValue::Object error;
-  error["code"] = StatusCodeName(status.code());
-  error["message"] = status.message();
-  response["error"] = std::move(error);
-  return JsonValue(std::move(response)).Dump();
+void SerializeIngestError(const IngestRequest& request, const Status& status,
+                          std::string& out) {
+  ObjectWriter response(out);
+  WriteError(response, status);
+  response.String("id", request.id);
+  response.Bool("ingested", false);
+  response.Bool("ok", false);
+  response.Close();
 }
 
 Result<QueryRequest> ParseRequest(const JsonValue& json) {
@@ -386,48 +436,41 @@ Result<QueryRequest> ParseRequestLine(std::string_view line) {
   return ParseRequest(*json);
 }
 
-std::string SerializeResult(const QueryRequest& request,
-                            const QueryResult& result) {
-  JsonValue::Object response;
-  response["id"] = request.id;
-  // Only a query_id the client itself put on the wire is echoed: a
-  // server-minted one is observability plumbing (trace spans, slow-query
-  // log), and echoing it would break the byte-identical guarantee between
-  // otherwise-identical runs whose mint counters differ.
-  if (request.query_id_provided && request.query_id != 0) {
-    response["query_id"] = static_cast<double>(request.query_id);
-  }
+void SerializeResult(const QueryRequest& request, const QueryResult& result,
+                     std::string& out) {
   if (!result.status.ok()) {
-    response["ok"] = false;
-    JsonValue::Object error;
-    error["code"] = StatusCodeName(result.status.code());
-    error["message"] = result.status.message();
-    response["error"] = std::move(error);
-    return JsonValue(std::move(response)).Dump();
+    AppendRequestError(out, request.id, request.query_id_provided,
+                       request.query_id, result.status);
+    return;
   }
-  response["ok"] = true;
-  response["kind"] = QueryKindName(request.kind);
+  ObjectWriter response(out);
   // Which estimator actually answered (never "auto"): "bank" for the
   // classic Eq. 5 replay, "analytic" for the sampling-free path.
-  response["backend"] = QueryBackendName(result.backend);
-  response["generation"] = static_cast<double>(result.generation);
-  response["model_epoch"] = static_cast<double>(result.model_epoch);
-  response["total_rows"] = static_cast<double>(result.total_rows);
-  response["effective_rows"] = static_cast<double>(result.effective_rows);
-  response["frontier_shared"] = result.frontier_shared;
-  JsonValue::Array estimates;
-  estimates.reserve(result.estimates.size());
-  for (const SinkEstimate& est : result.estimates) {
-    JsonValue::Object entry;
-    entry["sink"] = static_cast<double>(est.sink);
-    entry["value"] = est.value;
-    entry["mcse"] = est.diagnostics.mcse;
-    entry["ess"] = est.diagnostics.ess;
-    entry["rhat"] = est.diagnostics.rhat;
-    estimates.push_back(std::move(entry));
+  response.String("backend", QueryBackendName(result.backend));
+  response.Number("effective_rows", static_cast<double>(result.effective_rows));
+  std::string& estimates = response.Key("estimates");
+  estimates.push_back('[');
+  for (std::size_t i = 0; i < result.estimates.size(); ++i) {
+    const SinkEstimate& est = result.estimates[i];
+    if (i > 0) estimates.push_back(',');
+    ObjectWriter entry(estimates);
+    entry.Number("ess", est.diagnostics.ess);
+    entry.Number("mcse", est.diagnostics.mcse);
+    entry.Number("rhat", est.diagnostics.rhat);
+    entry.Number("sink", static_cast<double>(est.sink));
+    entry.Number("value", est.value);
+    entry.Close();
   }
-  response["estimates"] = std::move(estimates);
-  return JsonValue(std::move(response)).Dump();
+  estimates.push_back(']');
+  response.Bool("frontier_shared", result.frontier_shared);
+  response.Number("generation", static_cast<double>(result.generation));
+  response.String("id", request.id);
+  response.String("kind", QueryKindName(request.kind));
+  response.Number("model_epoch", static_cast<double>(result.model_epoch));
+  response.Bool("ok", true);
+  WriteQueryId(response, request.query_id_provided, request.query_id);
+  response.Number("total_rows", static_cast<double>(result.total_rows));
+  response.Close();
 }
 
 JsonValue RequestId(const JsonValue& json) {
@@ -435,15 +478,55 @@ JsonValue RequestId(const JsonValue& json) {
   return id != nullptr && id->is_string() ? *id : JsonValue();
 }
 
-std::string SerializeParseError(const Status& status, JsonValue id) {
-  JsonValue::Object response;
-  response["id"] = std::move(id);
-  response["ok"] = false;
-  JsonValue::Object error;
-  error["code"] = StatusCodeName(status.code());
-  error["message"] = status.message();
-  response["error"] = std::move(error);
-  return JsonValue(std::move(response)).Dump();
+void SerializeParseError(const Status& status, const JsonValue& id,
+                         std::string& out) {
+  ObjectWriter response(out);
+  WriteError(response, status);
+  id.DumpTo(response.Key("id"));
+  response.Bool("ok", false);
+  response.Close();
+}
+
+std::string SerializeResult(const QueryRequest& request,
+                            const QueryResult& result) {
+  std::string out;
+  SerializeResult(request, result, out);
+  return out;
+}
+
+std::string SerializeParseError(const Status& status, const JsonValue& id) {
+  std::string out;
+  SerializeParseError(status, id, out);
+  return out;
+}
+
+std::string SerializeIngestAck(const IngestRequest& request,
+                               std::uint64_t absorbed_total,
+                               std::uint64_t epoch) {
+  std::string out;
+  SerializeIngestAck(request, absorbed_total, epoch, out);
+  return out;
+}
+
+std::string SerializeIngestError(const IngestRequest& request,
+                                 const Status& status) {
+  std::string out;
+  SerializeIngestError(request, status, out);
+  return out;
+}
+
+std::string SerializeTopkResult(const TopkRequest& request,
+                                const seedmax::SeedMaxResult& result) {
+  std::string out;
+  SerializeTopkResult(request, result, out);
+  return out;
+}
+
+std::string SerializeTopkError(const TopkRequest& request,
+                               const Status& status) {
+  std::string out;
+  SerializeTopkError(request, status, out);
+  return out;
 }
 
 }  // namespace infoflow::serve

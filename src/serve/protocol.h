@@ -60,16 +60,6 @@ bool IsIngestRequest(const JsonValue& json);
 /// \brief Parses one ingest submission ("ingest" must be a string).
 Result<IngestRequest> ParseIngestRequest(const JsonValue& json);
 
-/// \brief Acknowledgement line for an absorbed record (without newline).
-std::string SerializeIngestAck(const IngestRequest& request,
-                               std::uint64_t absorbed_total,
-                               std::uint64_t epoch);
-
-/// \brief Error line for a rejected ingest submission (parse/validation
-/// failure, or ingestion not enabled on this daemon).
-std::string SerializeIngestError(const IngestRequest& request,
-                                 const Status& status);
-
 /// \brief One live-introspection verb on the serve connection:
 ///
 /// \code{.json}
@@ -142,15 +132,6 @@ bool IsTopkRequest(const JsonValue& json);
 /// \brief Parses one top-k request ("topk" must be a positive integer).
 Result<TopkRequest> ParseTopkRequest(const JsonValue& json);
 
-/// \brief Response line for a completed selection (without newline).
-std::string SerializeTopkResult(const TopkRequest& request,
-                                const seedmax::SeedMaxResult& result);
-
-/// \brief Error line for a failed selection (validation, conditional
-/// floor, out-of-range nodes).
-std::string SerializeTopkError(const TopkRequest& request,
-                               const Status& status);
-
 /// \brief Process-wide monotonic query-id mint (first id is 1). The serve
 /// boundary stamps every query that arrives without one, so each request's
 /// spans — parse, plan, replay, assemble — share an id across threads.
@@ -163,19 +144,63 @@ Result<QueryRequest> ParseRequest(const JsonValue& json);
 /// Convenience: ParseJson + ParseRequest on one protocol line.
 Result<QueryRequest> ParseRequestLine(std::string_view line);
 
-/// \brief Serializes one response line (without trailing newline). The
-/// request supplies the echoed id; error results carry
-/// {"error":{"code":...,"message":...}} instead of estimates.
-std::string SerializeResult(const QueryRequest& request,
-                            const QueryResult& result);
-
 /// \brief The client's id to echo for a request object: its "id" member
 /// when that is a string, null otherwise (including non-objects).
 JsonValue RequestId(const JsonValue& json);
 
+// ---------------------------------------------------------- serializers
+//
+// Each serializer writes one response line, without the trailing newline,
+// in two forms: appended to `out` (the daemon writes a whole batch into one
+// buffer this way) or returned as a string. Members are streamed straight
+// into the buffer in ascending key order with the same AppendJsonString /
+// AppendJsonNumber primitives JsonValue::Dump uses, so every line is
+// byte-identical to the Dump() of a JsonValue object holding the same
+// members. Errors carry {"error":{"code":...,"message":...}} and
+// "ok":false. A `query_id` is echoed only when the client sent one.
+
+/// \brief A query's response line: the echoed id and the estimates with
+/// their diagnostics, or the error of a failed query.
+void SerializeResult(const QueryRequest& request, const QueryResult& result,
+                     std::string& out);
+std::string SerializeResult(const QueryRequest& request,
+                            const QueryResult& result);
+
 /// \brief An error response for a line that failed to parse. `id` is the
 /// echoed RequestId of a line that parsed as JSON; null for a line that is
 /// not JSON at all.
-std::string SerializeParseError(const Status& status, JsonValue id = {});
+void SerializeParseError(const Status& status, const JsonValue& id,
+                         std::string& out);
+std::string SerializeParseError(const Status& status,
+                                const JsonValue& id = {});
+
+/// \brief Acknowledgement line for an absorbed record.
+void SerializeIngestAck(const IngestRequest& request,
+                        std::uint64_t absorbed_total, std::uint64_t epoch,
+                        std::string& out);
+std::string SerializeIngestAck(const IngestRequest& request,
+                               std::uint64_t absorbed_total,
+                               std::uint64_t epoch);
+
+/// \brief Error line for a rejected ingest submission (parse/validation
+/// failure, or ingestion not enabled on this daemon).
+void SerializeIngestError(const IngestRequest& request, const Status& status,
+                          std::string& out);
+std::string SerializeIngestError(const IngestRequest& request,
+                                 const Status& status);
+
+/// \brief Response line for a completed top-k selection.
+void SerializeTopkResult(const TopkRequest& request,
+                         const seedmax::SeedMaxResult& result,
+                         std::string& out);
+std::string SerializeTopkResult(const TopkRequest& request,
+                                const seedmax::SeedMaxResult& result);
+
+/// \brief Error line for a failed selection (validation, conditional
+/// floor, out-of-range nodes).
+void SerializeTopkError(const TopkRequest& request, const Status& status,
+                        std::string& out);
+std::string SerializeTopkError(const TopkRequest& request,
+                               const Status& status);
 
 }  // namespace infoflow::serve

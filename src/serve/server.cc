@@ -132,6 +132,12 @@ Status Server::ServeFd(int in_fd, int out_fd) {
   LineReader reader(in_fd, options_.interrupt);
   std::string line;
   std::vector<std::string> lines;
+  // Responses to lines answered while parsing (errors, admin, top-k,
+  // ingest). A query line's slot stays empty: every response is non-empty,
+  // so an empty slot marks the next query result.
+  std::vector<std::string> early;
+  std::vector<QueryRequest> requests;
+  std::string out;
   while (reader.NextLine(line)) {
     WallTimer timer;
     lines.clear();
@@ -141,40 +147,41 @@ Status Server::ServeFd(int in_fd, int out_fd) {
       lines.push_back(std::move(line));
     }
 
-    std::vector<std::string> responses(lines.size());
-    std::vector<QueryRequest> requests;
-    std::vector<std::size_t> request_line;
-    requests.reserve(lines.size());
+    early.assign(lines.size(), std::string());
+    requests.clear();
     for (std::size_t j = 0; j < lines.size(); ++j) {
+      std::string& response = early[j];
       if (lines[j].empty()) {
-        responses[j] =
-            SerializeParseError(Status::InvalidArgument("empty request line"));
+        SerializeParseError(Status::InvalidArgument("empty request line"),
+                            JsonValue(), response);
         continue;
       }
       auto json = ParseJson(lines[j]);
       if (!json.ok()) {
-        responses[j] = SerializeParseError(json.status());
+        SerializeParseError(json.status(), JsonValue(), response);
         continue;
       }
       if (IsAdminRequest(*json)) {
         metric_admin_requests_->Increment();
         auto admin = ParseAdminRequest(*json);
-        responses[j] = admin.ok() ? HandleAdmin(*admin)
-                                  : SerializeParseError(admin.status(),
-                                                        RequestId(*json));
+        if (admin.ok()) {
+          response = HandleAdmin(*admin);
+        } else {
+          SerializeParseError(admin.status(), RequestId(*json), response);
+        }
         continue;
       }
       if (IsTopkRequest(*json)) {
         metric_topk_requests_->Increment();
         auto topk = ParseTopkRequest(*json);
         if (!topk.ok()) {
-          responses[j] = SerializeParseError(topk.status(), RequestId(*json));
+          SerializeParseError(topk.status(), RequestId(*json), response);
           continue;
         }
         // Same boundary discipline as queries: a request arriving without
         // a query_id gets one minted here so its spans share a trace tree.
         if (topk->query_id == 0) topk->query_id = MintQueryId();
-        responses[j] = HandleTopk(*topk);
+        response = HandleTopk(*topk);
         continue;
       }
       if (IsIngestRequest(*json)) {
@@ -184,50 +191,57 @@ Status Server::ServeFd(int in_fd, int out_fd) {
         // is asynchronous).
         auto ingest = ParseIngestRequest(*json);
         if (!ingest.ok()) {
-          responses[j] =
-              SerializeParseError(ingest.status(), RequestId(*json));
+          SerializeParseError(ingest.status(), RequestId(*json), response);
           continue;
         }
         metric_ingest_lines_->Increment();
         if (ingestor_ == nullptr) {
-          responses[j] = SerializeIngestError(
-              *ingest, Status::FailedPrecondition(
-                           "ingestion is not enabled on this daemon "
-                           "(start serve with --ingest)"));
+          SerializeIngestError(
+              *ingest,
+              Status::FailedPrecondition(
+                  "ingestion is not enabled on this daemon "
+                  "(start serve with --ingest)"),
+              response);
           continue;
         }
         auto ack = ingestor_->IngestLine(ingest->record);
-        responses[j] = ack.ok() ? SerializeIngestAck(*ingest,
-                                                     ack->absorbed_total,
-                                                     ack->epoch)
-                                : SerializeIngestError(*ingest, ack.status());
+        if (ack.ok()) {
+          SerializeIngestAck(*ingest, ack->absorbed_total, ack->epoch,
+                             response);
+        } else {
+          SerializeIngestError(*ingest, ack.status(), response);
+        }
         continue;
       }
       auto request = ParseRequest(*json);
       if (!request.ok()) {
-        responses[j] = SerializeParseError(request.status(), RequestId(*json));
+        SerializeParseError(request.status(), RequestId(*json), response);
         continue;
       }
       // Queries arriving without a query_id (the normal case) get one
       // minted here, at the protocol boundary.
       if (request->query_id == 0) request->query_id = MintQueryId();
-      request_line.push_back(j);
       requests.push_back(std::move(*request));
     }
 
+    std::vector<QueryResult> results;
     if (!requests.empty()) {
       const std::shared_ptr<const BankGeneration> generation = bank_.Acquire();
-      const std::vector<QueryResult> results =
-          engine->AnswerBatch(*generation, requests);
-      for (std::size_t k = 0; k < requests.size(); ++k) {
-        responses[request_line[k]] = SerializeResult(requests[k], results[k]);
-      }
+      results = engine->AnswerBatch(*generation, requests);
       LogSlowQueries(requests, results);
     }
 
-    std::string out;
-    for (std::string& response : responses) {
-      out += response;
+    // Every response goes straight into the batch buffer in line order;
+    // query results are serialized in place as their lines come up.
+    out.clear();
+    std::size_t k = 0;
+    for (const std::string& response : early) {
+      if (response.empty()) {
+        SerializeResult(requests[k], results[k], out);
+        ++k;
+      } else {
+        out += response;
+      }
       out += '\n';
     }
     if (!WriteAll(out_fd, out)) {

@@ -1,7 +1,6 @@
 #include "serve/transport.h"
 
 #include <cerrno>
-#include <utility>
 
 #include <poll.h>
 #include <unistd.h>
@@ -11,16 +10,11 @@ namespace infoflow::serve {
 bool LineReader::NextLine(std::string& line) {
   while (true) {
     if (PopBufferedLine(line)) return true;
-    if (eof_) {
-      if (buffer_.empty()) return false;
-      line = std::move(buffer_);
-      buffer_.clear();
-      return true;
-    }
+    if (eof_) return PopRemainder(line);
     if (interrupt_ != nullptr) {
       // Poll in short slices so a raised flag reads as EOF instead of
       // leaving the loop parked in read(2) past the signal.
-      while (!Readable()) {
+      while (true) {
         if (Interrupted()) {
           eof_ = true;
           break;
@@ -45,19 +39,22 @@ bool LineReader::TryNextLine(std::string& line) {
     FillOnce();
     if (PopBufferedLine(line)) return true;
   }
-  if (eof_ && !buffer_.empty()) {
-    line = std::move(buffer_);
-    buffer_.clear();
-    return true;
-  }
-  return false;
+  return eof_ && PopRemainder(line);
 }
 
 bool LineReader::PopBufferedLine(std::string& line) {
-  const std::size_t pos = buffer_.find('\n');
+  const std::size_t pos = buffer_.find('\n', head_);
   if (pos == std::string::npos) return false;
-  line.assign(buffer_, 0, pos);
-  buffer_.erase(0, pos + 1);
+  line.assign(buffer_, head_, pos - head_);
+  head_ = pos + 1;
+  return true;
+}
+
+bool LineReader::PopRemainder(std::string& line) {
+  if (head_ == buffer_.size()) return false;
+  line.assign(buffer_, head_);
+  buffer_.clear();
+  head_ = 0;
   return true;
 }
 
@@ -67,6 +64,9 @@ bool LineReader::Readable() const {
 }
 
 void LineReader::FillOnce() {
+  // Drop the lines already popped once per read, not once per line.
+  buffer_.erase(0, head_);
+  head_ = 0;
   char chunk[65536];
   ssize_t got;
   do {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <csignal>
+#include <cstddef>
 #include <string>
 
 namespace infoflow::serve {
@@ -32,7 +33,10 @@ class LineReader {
   bool TryNextLine(std::string& line);
 
  private:
+  /// Pops the next complete line after head_; false when none is buffered.
   bool PopBufferedLine(std::string& line);
+  /// Pops the unterminated tail left at EOF; false when nothing is left.
+  bool PopRemainder(std::string& line);
   bool Readable() const;
   /// One read(2) into the buffer; flips eof_ at end-of-stream or error.
   void FillOnce();
@@ -42,7 +46,10 @@ class LineReader {
 
   int fd_;
   const volatile std::sig_atomic_t* interrupt_ = nullptr;
+  /// Bytes read but not yet popped start at buffer_[head_]; FillOnce
+  /// compacts the consumed prefix away.
   std::string buffer_;
+  std::size_t head_ = 0;
   bool eof_ = false;
 };
 

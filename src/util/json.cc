@@ -3,8 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 
 #include "util/check.h"
 
@@ -51,9 +50,8 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return it == object_.end() ? nullptr : &it->second;
 }
 
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
+void AppendJsonString(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -64,10 +62,9 @@ void AppendEscaped(std::string& out, const std::string& s) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xf]);
+          out.push_back(kHex[c & 0xf]);
         } else {
           out.push_back(c);
         }
@@ -76,46 +73,59 @@ void AppendEscaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-void AppendNumber(std::string& out, double v) {
-  // Integers in the exactly-representable range (|v| <= 2^53) print without
-  // a fraction — accumulated Beta counts and row totals stay plain integers
-  // however large they grow; everything else gets enough digits (up to 17
-  // significant) to round-trip through strtod exactly.
-  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-  if (std::isfinite(v) && v == std::floor(v) &&
-      std::fabs(v) <= kMaxExactInteger) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-    return;
-  }
-  if (!std::isfinite(v)) {
+void AppendJsonNumber(std::string& out, double value) {
+  if (!std::isfinite(value)) {
     // JSON has no Infinity/NaN literal; null is the conventional stand-in.
     out += "null";
     return;
   }
+  // Integers in the exactly-representable range (|v| <= 2^53) print without
+  // a fraction — accumulated Beta counts and row totals stay plain integers
+  // however large they grow.
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char trial[32];
-    std::snprintf(trial, sizeof(trial), "%.*g", precision, v);
-    if (std::strtod(trial, nullptr) == v) {
-      out += trial;
+  char* const buf_end = buf + sizeof(buf);
+  if (value == std::floor(value) && std::fabs(value) <= kMaxExactInteger) {
+    if (value == 0.0 && std::signbit(value)) {
+      out += "-0";
+      return;
+    }
+    const auto integer = static_cast<std::int64_t>(value);
+    out.append(buf, std::to_chars(buf, buf_end, integer).ptr);
+    return;
+  }
+  // Everything else prints as `%.{p}g` with the smallest precision p that
+  // parses back to `value`. Shortest scientific to_chars yields the fewest
+  // significant digits P of any round-tripping text, so no p < P can
+  // round-trip; the first p >= P that does is the answer (usually P itself,
+  // P + 1 when the correctly rounded P-digit text lands on a neighbour).
+  // %.17g always round-trips.
+  const char* const shortest_end =
+      std::to_chars(buf, buf_end, value, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* p = buf; p != shortest_end && *p != 'e'; ++p) {
+    precision += (*p >= '0' && *p <= '9') ? 1 : 0;
+  }
+  for (;; ++precision) {
+    char* const text_end =
+        std::to_chars(buf, buf_end, value, std::chars_format::general,
+                      precision)
+            .ptr;
+    double back = 0.0;
+    std::from_chars(buf, text_end, back);
+    if (back == value || precision >= 17) {
+      out.append(buf, text_end);
       return;
     }
   }
-  out += buf;
 }
-
-}  // namespace
 
 void JsonValue::DumpTo(std::string& out) const {
   switch (kind_) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kNumber: AppendNumber(out, number_); break;
-    case Kind::kString: AppendEscaped(out, string_); break;
+    case Kind::kNumber: AppendJsonNumber(out, number_); break;
+    case Kind::kString: AppendJsonString(out, string_); break;
     case Kind::kArray: {
       out.push_back('[');
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -131,7 +141,7 @@ void JsonValue::DumpTo(std::string& out) const {
       for (const auto& [key, value] : object_) {
         if (!first) out.push_back(',');
         first = false;
-        AppendEscaped(out, key);
+        AppendJsonString(out, key);
         out.push_back(':');
         value.DumpTo(out);
       }

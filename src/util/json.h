@@ -9,6 +9,14 @@
 /// integer range comfortably), and \uXXXX escapes outside ASCII are passed
 /// through as their raw escape text rather than decoded to UTF-8 (no
 /// protocol field carries non-ASCII content).
+///
+/// The writer is two append primitives, AppendJsonString and
+/// AppendJsonNumber, which Dump() and the serve daemon's streamed response
+/// serializers share. Numbers are formatted with `<charconv>`:
+/// integer-valued doubles up to 2^53 via integer std::to_chars, everything
+/// else as the shortest `%.{p}g` form that parses back to the same double
+/// (found from std::to_chars's shortest digit count, checked with
+/// std::from_chars).
 
 #pragma once
 
@@ -76,15 +84,18 @@ class JsonValue {
   const JsonValue* Find(std::string_view key) const;
 
   /// \brief Serializes compactly (no whitespace), with object keys in map
-  /// order and doubles in shortest round-trip form: integers up to 2^53 in
-  /// magnitude print without a fractional part, everything else with the
-  /// fewest significant digits (at most 17) that parse back to the exact
-  /// same double — snapshots of drift statistics and Beta counts survive
-  /// Dump → ParseJson bit-exactly.
+  /// order and numbers as AppendJsonNumber writes them: integers up to 2^53
+  /// in magnitude without a fractional part, everything else as `%.{p}g`
+  /// with the smallest precision p (at most 17) that parses back to the
+  /// exact same double, found with std::to_chars / std::from_chars —
+  /// snapshots of drift statistics and Beta counts survive Dump → ParseJson
+  /// bit-exactly.
   std::string Dump() const;
 
- private:
+  /// Dump(), appended to `out`.
   void DumpTo(std::string& out) const;
+
+ private:
 
   Kind kind_;
   bool bool_ = false;
@@ -93,6 +104,17 @@ class JsonValue {
   Array array_;
   Object object_;
 };
+
+/// \brief Appends `s` as a quoted JSON string literal: `"` and `\\` are
+/// backslash-escaped, \n \r \t use their short escapes, and other control
+/// characters are written as \u00XX.
+void AppendJsonString(std::string& out, std::string_view s);
+
+/// \brief Appends `value` as a JSON number in Dump()'s format: null for NaN
+/// and infinities, integer digits for integer values up to 2^53 in
+/// magnitude ("-0" for negative zero), otherwise the shortest `%.{p}g`
+/// text that round-trips.
+void AppendJsonNumber(std::string& out, double value);
 
 /// \brief Parses one JSON document. Trailing non-whitespace after the value
 /// is an error, as are unterminated strings/containers, so a truncated

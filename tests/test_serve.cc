@@ -7,12 +7,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <csignal>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +33,7 @@
 #include "serve/query_engine.h"
 #include "serve/sample_bank.h"
 #include "serve/server.h"
+#include "serve/transport.h"
 #include "util/json.h"
 #include "util/timer.h"
 
@@ -893,6 +897,265 @@ TEST(Protocol, TopkRequestsParseWithAllFields) {
   }
 }
 
+// ------------------------------------------- serializer differential test
+
+/// The tree-building serializers the streamed ones replaced, kept as
+/// oracles: each builds a JsonValue object (std::map, so keys dump in
+/// ascending order) and dumps it.
+namespace oracle {
+
+void SetQueryId(JsonValue::Object& response, bool provided,
+                std::uint64_t query_id) {
+  if (provided && query_id != 0) {
+    response["query_id"] = static_cast<double>(query_id);
+  }
+}
+
+JsonValue ErrorObject(const Status& status) {
+  JsonValue::Object error;
+  error["code"] = StatusCodeName(status.code());
+  error["message"] = status.message();
+  return JsonValue(std::move(error));
+}
+
+std::string Result(const QueryRequest& request, const QueryResult& result) {
+  JsonValue::Object response;
+  response["id"] = request.id;
+  SetQueryId(response, request.query_id_provided, request.query_id);
+  if (!result.status.ok()) {
+    response["ok"] = false;
+    response["error"] = ErrorObject(result.status);
+    return JsonValue(std::move(response)).Dump();
+  }
+  response["ok"] = true;
+  response["kind"] = QueryKindName(request.kind);
+  response["backend"] = QueryBackendName(result.backend);
+  response["generation"] = static_cast<double>(result.generation);
+  response["model_epoch"] = static_cast<double>(result.model_epoch);
+  response["total_rows"] = static_cast<double>(result.total_rows);
+  response["effective_rows"] = static_cast<double>(result.effective_rows);
+  response["frontier_shared"] = result.frontier_shared;
+  JsonValue::Array estimates;
+  for (const SinkEstimate& est : result.estimates) {
+    JsonValue::Object entry;
+    entry["sink"] = static_cast<double>(est.sink);
+    entry["value"] = est.value;
+    entry["mcse"] = est.diagnostics.mcse;
+    entry["ess"] = est.diagnostics.ess;
+    entry["rhat"] = est.diagnostics.rhat;
+    estimates.push_back(std::move(entry));
+  }
+  response["estimates"] = std::move(estimates);
+  return JsonValue(std::move(response)).Dump();
+}
+
+std::string ParseError(const Status& status, JsonValue id) {
+  JsonValue::Object response;
+  response["id"] = std::move(id);
+  response["ok"] = false;
+  response["error"] = ErrorObject(status);
+  return JsonValue(std::move(response)).Dump();
+}
+
+std::string IngestAck(const IngestRequest& request,
+                      std::uint64_t absorbed_total, std::uint64_t epoch) {
+  JsonValue::Object response;
+  response["id"] = request.id;
+  response["ok"] = true;
+  response["ingested"] = true;
+  response["absorbed_total"] = static_cast<double>(absorbed_total);
+  response["epoch"] = static_cast<double>(epoch);
+  return JsonValue(std::move(response)).Dump();
+}
+
+std::string IngestError(const IngestRequest& request, const Status& status) {
+  JsonValue::Object response;
+  response["id"] = request.id;
+  response["ok"] = false;
+  response["ingested"] = false;
+  response["error"] = ErrorObject(status);
+  return JsonValue(std::move(response)).Dump();
+}
+
+std::string TopkResult(const TopkRequest& request,
+                       const seedmax::SeedMaxResult& result) {
+  JsonValue::Object response;
+  response["id"] = request.id;
+  SetQueryId(response, request.query_id_provided, request.query_id);
+  response["ok"] = true;
+  response["kind"] = "topk";
+  response["generation"] = static_cast<double>(result.generation);
+  response["model_epoch"] = static_cast<double>(result.model_epoch);
+  response["total_rows"] = static_cast<double>(result.total_rows);
+  response["effective_rows"] = static_cast<double>(result.effective_rows);
+  response["universe"] = static_cast<double>(result.universe);
+  response["sketches"] = static_cast<double>(result.num_sketches);
+  response["evaluations"] = static_cast<double>(result.evaluations);
+  response["prune_hits"] = static_cast<double>(result.prune_hits);
+  JsonValue::Array seeds;
+  for (const seedmax::SeedPick& pick : result.picks) {
+    JsonValue::Object entry;
+    entry["node"] = static_cast<double>(pick.node);
+    entry["marginal_coverage"] =
+        static_cast<double>(pick.marginal_coverage);
+    entry["spread"] = pick.spread;
+    entry["mcse"] = pick.mcse;
+    seeds.push_back(std::move(entry));
+  }
+  response["seeds"] = std::move(seeds);
+  response["spread"] = result.spread;
+  response["mcse"] = result.mcse;
+  return JsonValue(std::move(response)).Dump();
+}
+
+std::string TopkError(const TopkRequest& request, const Status& status) {
+  JsonValue::Object response;
+  response["id"] = request.id;
+  SetQueryId(response, request.query_id_provided, request.query_id);
+  response["ok"] = false;
+  response["error"] = ErrorObject(status);
+  return JsonValue(std::move(response)).Dump();
+}
+
+}  // namespace oracle
+
+/// Random inputs for the serializers: hostile strings, every status code,
+/// and doubles that hit each branch of the number writer.
+class SerializerFuzz {
+ public:
+  explicit SerializerFuzz(std::uint64_t seed) : rng_(seed) {}
+
+  /// Mixes quotes, backslashes, every control character and plain text.
+  std::string Text() {
+    static const char kPieces[] = "ab\"\\/ \n\r\t\b\f{}:,0e-";
+    std::string out;
+    const std::size_t length = rng_.NextBounded(12);
+    for (std::size_t i = 0; i < length; ++i) {
+      const std::uint64_t pick = rng_.NextBounded(3);
+      if (pick == 0) {
+        out.push_back(static_cast<char>(rng_.NextBounded(0x20)));
+      } else if (pick == 1) {
+        out.push_back(kPieces[rng_.NextBounded(sizeof(kPieces) - 1)]);
+      } else {
+        out.push_back(static_cast<char>(0x20 + rng_.NextBounded(0x5f)));
+      }
+    }
+    return out;
+  }
+
+  double Number() {
+    switch (rng_.NextBounded(9)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return rng_.NextBounded(2) ? HUGE_VAL : -HUGE_VAL;
+      case 2: return rng_.NextBounded(2) ? 0.0 : -0.0;
+      case 3: return static_cast<double>(rng_.NextBounded(100000));
+      case 4: return std::bit_cast<double>(rng_.NextU64());
+      case 5: return static_cast<double>(rng_.NextBounded(4097)) / 4096.0;
+      case 6: return 1.0 + rng_.NextDouble() * 1e-3;  // an R-hat
+      default: return rng_.NextDouble() * 1000.0;     // an ESS or MCSE
+    }
+  }
+
+  /// Counters, including ones past 2^53 that print in %g form.
+  std::uint64_t Count() {
+    return rng_.NextBounded(4) == 0 ? rng_.NextU64() : rng_.NextBounded(5000);
+  }
+
+  Status ErrorStatus() {
+    const auto code = static_cast<StatusCode>(
+        1 + rng_.NextBounded(static_cast<int>(StatusCode::kInternal)));
+    return Status(code, Text());
+  }
+
+  /// Provided, provided-but-zero, or minted (not echoed).
+  void QueryId(std::uint64_t& query_id, bool& provided) {
+    provided = rng_.NextBounded(2) == 0;
+    query_id = rng_.NextBounded(5) == 0 ? 0 : Count() + 1;
+  }
+
+  std::uint64_t Bounded(std::uint64_t bound) { return rng_.NextBounded(bound); }
+
+ private:
+  Rng rng_;
+};
+
+TEST(Protocol, StreamedSerializersMatchTreeOracles) {
+  SerializerFuzz fuzz(20120401);
+  for (int round = 0; round < 3000; ++round) {
+    QueryRequest request;
+    request.id = fuzz.Text();
+    fuzz.QueryId(request.query_id, request.query_id_provided);
+    request.kind = static_cast<QueryKind>(fuzz.Bounded(3));
+    QueryResult result;
+    if (fuzz.Bounded(4) == 0) result.status = fuzz.ErrorStatus();
+    result.backend =
+        fuzz.Bounded(2) ? QueryBackend::kAnalytic : QueryBackend::kBank;
+    result.generation = fuzz.Count();
+    result.model_epoch = fuzz.Count();
+    result.total_rows = fuzz.Count();
+    result.effective_rows = fuzz.Count();
+    result.frontier_shared = fuzz.Bounded(2) == 0;
+    const std::size_t sinks = fuzz.Bounded(6);  // 0: an empty estimate list
+    for (std::size_t i = 0; i < sinks; ++i) {
+      SinkEstimate est;
+      est.sink = static_cast<NodeId>(fuzz.Bounded(100000));
+      est.value = fuzz.Number();
+      est.diagnostics.mcse = fuzz.Number();
+      est.diagnostics.ess = fuzz.Number();
+      est.diagnostics.rhat = fuzz.Number();
+      result.estimates.push_back(est);
+    }
+    ASSERT_EQ(SerializeResult(request, result),
+              oracle::Result(request, result));
+    // The appending form writes the same bytes after what is already there.
+    std::string appended = "prefix\n";
+    SerializeResult(request, result, appended);
+    ASSERT_EQ(appended, "prefix\n" + oracle::Result(request, result));
+
+    const Status parse_status = fuzz.ErrorStatus();
+    ASSERT_EQ(SerializeParseError(parse_status),
+              oracle::ParseError(parse_status, JsonValue()));
+    const JsonValue echoed(fuzz.Text());
+    ASSERT_EQ(SerializeParseError(parse_status, echoed),
+              oracle::ParseError(parse_status, echoed));
+
+    IngestRequest ingest;
+    ingest.id = fuzz.Text();
+    const std::uint64_t absorbed = fuzz.Count();
+    const std::uint64_t epoch = fuzz.Count();
+    ASSERT_EQ(SerializeIngestAck(ingest, absorbed, epoch),
+              oracle::IngestAck(ingest, absorbed, epoch));
+    const Status ingest_status = fuzz.ErrorStatus();
+    ASSERT_EQ(SerializeIngestError(ingest, ingest_status),
+              oracle::IngestError(ingest, ingest_status));
+
+    TopkRequest topk;
+    topk.id = fuzz.Text();
+    fuzz.QueryId(topk.query_id, topk.query_id_provided);
+    seedmax::SeedMaxResult picked;
+    const std::size_t k = fuzz.Bounded(5);
+    for (std::size_t i = 0; i < k; ++i) {
+      picked.picks.push_back({static_cast<NodeId>(fuzz.Bounded(100000)),
+                              fuzz.Count(), fuzz.Number(), fuzz.Number()});
+    }
+    picked.spread = fuzz.Number();
+    picked.mcse = fuzz.Number();
+    picked.evaluations = fuzz.Count();
+    picked.prune_hits = fuzz.Count();
+    picked.generation = fuzz.Count();
+    picked.model_epoch = fuzz.Count();
+    picked.num_sketches = fuzz.Count();
+    picked.universe = fuzz.Count();
+    picked.total_rows = fuzz.Count();
+    picked.effective_rows = fuzz.Count();
+    ASSERT_EQ(SerializeTopkResult(topk, picked),
+              oracle::TopkResult(topk, picked));
+    const Status topk_status = fuzz.ErrorStatus();
+    ASSERT_EQ(SerializeTopkError(topk, topk_status),
+              oracle::TopkError(topk, topk_status));
+  }
+}
+
 TEST(Protocol, TopkSerializersEchoIdAndProvenance) {
   TopkRequest request;
   request.id = "m1";
@@ -991,6 +1254,47 @@ Server MakeServer(const PointIcm& model, ServerOptions options = {}) {
   auto server = Server::Create(std::move(bank).ValueOrDie(), options);
   EXPECT_TRUE(server.ok()) << server.status();
   return std::move(server).ValueOrDie();
+}
+
+/// 64 pipelined lines in one write, then a line split across two writes:
+/// the reader hands back the same lines in the same order, whether it
+/// blocks in read(2) or polls for an interrupt flag.
+TEST(LineReader, PipelinedAndSplitLinesComeOutInOrder) {
+  for (const bool with_interrupt : {false, true}) {
+    SCOPED_TRACE(with_interrupt ? "interruptible" : "blocking");
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    volatile std::sig_atomic_t flag = 0;
+    LineReader reader(fds[0], with_interrupt ? &flag : nullptr);
+
+    std::vector<std::string> sent;
+    std::string batch;
+    for (int i = 0; i < 64; ++i) {
+      sent.push_back(R"({"id":"q)" + std::to_string(i) +
+                     R"(","source":0,"sink":)" + std::to_string(i) + "}");
+      batch += sent.back() + "\n";
+    }
+    const std::string split = R"({"id":"split","source":1,"sink":2})";
+    batch += split.substr(0, 10);
+    ASSERT_TRUE(WriteAll(fds[1], batch));
+
+    std::vector<std::string> got;
+    std::string line;
+    ASSERT_TRUE(reader.NextLine(line));
+    got.push_back(line);
+    while (reader.TryNextLine(line)) got.push_back(line);
+    EXPECT_EQ(got, sent);  // the half line is not delivered early
+
+    ASSERT_TRUE(WriteAll(fds[1], split.substr(10) + "\nlast-no-newline"));
+    close(fds[1]);
+    ASSERT_TRUE(reader.NextLine(line));
+    EXPECT_EQ(line, split);
+    ASSERT_TRUE(reader.NextLine(line));
+    EXPECT_EQ(line, "last-no-newline");  // an unterminated tail at EOF
+    EXPECT_FALSE(reader.NextLine(line));
+    EXPECT_FALSE(reader.TryNextLine(line));
+    close(fds[0]);
+  }
 }
 
 TEST(Server, ServesBatchesInOrderWithPerLineErrors) {
