@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/batch_reachability.h"
 #include "graph/strip_reachability.h"
 #include "util/check.h"
 
@@ -64,77 +63,57 @@ ImpactDistribution SimulateImpact(const PointIcm& model, NodeId source,
   IF_CHECK(source < model.graph().num_nodes())
       << "source " << source << " out of range";
   IF_CHECK(num_cascades > 0) << "need at least one cascade";
-  // Bit-parallel cascade simulation: 64 cascades per BFS pass. Deciding
+  // Bit-parallel cascade simulation: 64·W cascades per BFS pass. Deciding
   // *every* edge up front and taking reachability from the source is the
   // pseudo-state view of the cascade process (icm.h: the derived
   // active-state has exactly the cascade distribution), so each lane of a
-  // block is one cascade. BernoulliWord decides an edge for all 64 lanes
-  // at once; AccumulateReachedCounts tallies the per-lane spread sizes.
+  // strip is one cascade. BernoulliWord decides an edge for 64 lanes at
+  // once; AccumulateReachedCounts tallies the per-lane spread sizes. Deep
+  // cascade budgets widen to W-word strips (graph/strip_reachability.h);
+  // the edge words are drawn block-by-block in the same order at every
+  // width, so the RNG stream — and therefore every cascade's edge draws
+  // and the tallied distribution — is identical at every width.
   const DirectedGraph& graph = model.graph();
   const std::vector<NodeId> sources{source};
   ImpactDistribution out;
-  // Deep cascade budgets widen to W-word strips (graph/strip_reachability.h)
-  // so one BFS pass decides 256/512 cascades. The edge words are drawn
-  // block-by-block in exactly the legacy order, so the RNG stream — and
-  // therefore every cascade's edge draws and the tallied distribution —
-  // is identical at every width.
   const unsigned strip_words =
       ResolveStripWords(LaneWidth::kAuto, num_cascades, graph.num_nodes(),
                         graph.num_edges());
-  if (strip_words > 1) {
-    auto workspace = StripWorkspace::Create(strip_words, graph);
-    std::vector<std::uint64_t> strip(graph.num_edges() * strip_words);
-    std::vector<std::uint32_t> reached(std::size_t{strip_words} * 64);
-    for (std::size_t done = 0; done < num_cascades;
-         done += std::size_t{64} * strip_words) {
-      std::uint64_t lane_mask[kMaxStripWords];
-      for (unsigned w = 0; w < strip_words; ++w) {
-        const std::size_t block_done = done + std::size_t{64} * w;
-        if (block_done >= num_cascades) {
-          lane_mask[w] = 0;
-          for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-            strip[std::size_t{e} * strip_words + w] = 0;
-          }
-          continue;
-        }
-        const std::size_t lanes =
-            std::min<std::size_t>(64, num_cascades - block_done);
-        lane_mask[w] = lanes >= 64 ? ~std::uint64_t{0}
-                                   : (std::uint64_t{1} << lanes) - 1;
+  auto workspace = StripWorkspace::Create(strip_words, graph);
+  std::vector<std::uint64_t> strip(graph.num_edges() * strip_words);
+  std::vector<std::uint32_t> reached(std::size_t{strip_words} * 64);
+  for (std::size_t done = 0; done < num_cascades;
+       done += std::size_t{64} * strip_words) {
+    std::uint64_t lane_mask[kMaxStripWords];
+    for (unsigned w = 0; w < strip_words; ++w) {
+      const std::size_t block_done = done + std::size_t{64} * w;
+      if (block_done >= num_cascades) {
+        lane_mask[w] = 0;
         for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-          strip[std::size_t{e} * strip_words + w] =
-              BernoulliWord(model.prob(e), rng);
+          strip[std::size_t{e} * strip_words + w] = 0;
         }
+        continue;
       }
-      workspace->Run(graph, sources, strip.data(), lane_mask);
-      std::fill(reached.begin(), reached.end(), 0);
-      workspace->AccumulateReachedCounts(reached.data());
-      for (unsigned w = 0; w < strip_words; ++w) {
-        const std::size_t block_done = done + std::size_t{64} * w;
-        if (block_done >= num_cascades) break;
-        const std::size_t lanes =
-            std::min<std::size_t>(64, num_cascades - block_done);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          out.Record(reached[std::size_t{w} * 64 + l] - 1);
-        }
+      const std::size_t lanes =
+          std::min<std::size_t>(64, num_cascades - block_done);
+      lane_mask[w] =
+          lanes >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+        strip[std::size_t{e} * strip_words + w] =
+            BernoulliWord(model.prob(e), rng);
       }
     }
-    return out;
-  }
-  BatchReachabilityWorkspace workspace(graph);
-  std::vector<std::uint64_t> edge_words(graph.num_edges(), 0);
-  for (std::size_t done = 0; done < num_cascades; done += 64) {
-    const std::size_t lanes = std::min<std::size_t>(64, num_cascades - done);
-    const std::uint64_t lane_mask =
-        lanes >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      edge_words[e] = BernoulliWord(model.prob(e), rng);
-    }
-    workspace.Run(graph, sources, edge_words.data(), lane_mask);
-    std::uint32_t reached[64] = {};
-    workspace.AccumulateReachedCounts(reached);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out.Record(reached[l] - 1);
+    workspace->Run(graph, sources, strip.data(), lane_mask);
+    std::fill(reached.begin(), reached.end(), 0);
+    workspace->AccumulateReachedCounts(reached.data());
+    for (unsigned w = 0; w < strip_words; ++w) {
+      const std::size_t block_done = done + std::size_t{64} * w;
+      if (block_done >= num_cascades) break;
+      const std::size_t lanes =
+          std::min<std::size_t>(64, num_cascades - block_done);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        out.Record(reached[std::size_t{w} * 64 + l] - 1);
+      }
     }
   }
   return out;

@@ -72,7 +72,7 @@ MultiChainSampler::MultiChainSampler(std::vector<MhSampler> chains,
     batch_workspaces_.reserve(chains_.size());
     pack_buffers_.reserve(chains_.size());
     for (std::size_t k = 0; k < chains_.size(); ++k) {
-      batch_workspaces_.emplace_back(ModelGraph());
+      batch_workspaces_.push_back(StripWorkspace::Create(1, ModelGraph()));
       pack_buffers_.emplace_back(ModelGraph().num_edges(), 0);
     }
   }
@@ -184,8 +184,10 @@ MultiChainEstimate MultiChainSampler::EstimateFlowProbability(
     RunChainsBatched(per_chain, [&](std::size_t k, std::size_t start,
                                     std::size_t lanes,
                                     const std::uint64_t* words) {
-      const std::uint64_t hits = batch_workspaces_[k].RunUntil(
-          graph, sources, words, sink, LaneMask(lanes));
+      const std::uint64_t lane_mask = LaneMask(lanes);
+      std::uint64_t hits;
+      batch_workspaces_[k]->RunUntil(graph, sources, words, sink, &lane_mask,
+                                     &hits);
       for (std::size_t l = 0; l < lanes; ++l) {
         if ((hits >> l) & 1) draws[k][start + l] = 1.0;
       }
@@ -225,9 +227,11 @@ std::vector<MultiChainEstimate> MultiChainSampler::EstimateCommunityFlowMulti(
     RunChainsBatched(per_chain, [&](std::size_t k, std::size_t start,
                                     std::size_t lanes,
                                     const std::uint64_t* words) {
-      batch_workspaces_[k].Run(graph, sources, words, LaneMask(lanes));
+      const std::uint64_t lane_mask = LaneMask(lanes);
+      batch_workspaces_[k]->Run(graph, sources, words, &lane_mask);
       for (std::size_t j = 0; j < sinks.size(); ++j) {
-        const std::uint64_t hits = batch_workspaces_[k].ReachedMask(sinks[j]);
+        const std::uint64_t hits =
+            *batch_workspaces_[k]->ReachedMask(sinks[j]);
         for (std::size_t l = 0; l < lanes; ++l) {
           if ((hits >> l) & 1) draws[j][k][start + l] = 1.0;
         }
@@ -270,8 +274,9 @@ MultiChainEstimate MultiChainSampler::EstimateJointFlowProbability(
       std::vector<NodeId> src(1);
       for (const FlowConstraint& c : flows) {
         src[0] = c.source;
-        const std::uint64_t reached = batch_workspaces_[k].RunUntil(
-            graph, src, words, c.sink, alive);
+        std::uint64_t reached;
+        batch_workspaces_[k]->RunUntil(graph, src, words, c.sink, &alive,
+                                       &reached);
         alive = c.must_flow ? reached : alive & ~reached;
         if (alive == 0) break;
       }
@@ -304,10 +309,11 @@ DispersionEstimate MultiChainSampler::SampleDispersion(
     RunChainsBatched(per_chain, [&](std::size_t k, std::size_t start,
                                     std::size_t lanes,
                                     const std::uint64_t* words) {
-      batch_workspaces_[k].Run(graph, sources, words, LaneMask(lanes));
+      const std::uint64_t lane_mask = LaneMask(lanes);
+      batch_workspaces_[k]->Run(graph, sources, words, &lane_mask);
       // counts[l] = nodes reached in sample l, source included.
       std::uint32_t counts[64] = {};
-      batch_workspaces_[k].AccumulateReachedCounts(counts);
+      batch_workspaces_[k]->AccumulateReachedCounts(counts);
       for (std::size_t l = 0; l < lanes; ++l) {
         draws[k][start + l] = static_cast<double>(counts[l] - 1);
       }

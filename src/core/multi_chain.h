@@ -53,7 +53,7 @@
 
 #include "core/flow_query.h"
 #include "core/mh_sampler.h"
-#include "graph/batch_reachability.h"
+#include "graph/strip_reachability.h"
 #include "obs/metrics.h"
 #include "stats/convergence.h"
 #include "util/status.h"
@@ -73,7 +73,7 @@ struct MultiChainOptions {
   MhOptions mh;
   /// Evaluate indicator draws 64 retained samples per BFS pass: each chain
   /// packs its streamed states into edge-major 64-sample blocks and answers
-  /// them through BatchReachabilityWorkspace. false falls back to one
+  /// them through a one-word StripWorkspace. false falls back to one
   /// scalar BFS per sample (the `--scalar-reachability` escape hatch).
   /// Draws are bit-identical either way — indicators are deterministic and
   /// the chains' RNG streams are untouched.
@@ -212,8 +212,8 @@ class MultiChainSampler {
   /// Scratch reachability workspace per chain (MhSampler's own workspace is
   /// private to its estimators; the engine consumes raw NextSample states).
   std::vector<ReachabilityWorkspace> workspaces_;
-  /// Bit-parallel BFS workspace per chain (batch path).
-  std::vector<BatchReachabilityWorkspace> batch_workspaces_;
+  /// One-word (64-lane) strip workspace per chain (batch path).
+  std::vector<std::unique_ptr<StripWorkspace>> batch_workspaces_;
   /// Per-chain edge-major packing buffer: one word per edge, bit s = edge
   /// activity in sample s of the chain's current 64-sample block.
   std::vector<std::vector<std::uint64_t>> pack_buffers_;

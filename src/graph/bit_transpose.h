@@ -4,7 +4,8 @@
 /// The serve SampleBank stores retained pseudo-states twice: row-major
 /// (one packed edge-bit row per state — what scalar RunPacked consumes) and
 /// edge-major (for each edge, one word whose bit s is the edge's activity in
-/// sample s of a 64-sample block — what BatchReachabilityWorkspace consumes).
+/// sample s of a 64-sample block — the one-word strip plane StripWorkspace
+/// replays, and the source the wider strips are interleaved from).
 /// Converting between the two layouts is a 64×64 bit-matrix transpose per
 /// (64-row block × 64-edge column) tile; the recursive block-swap below does
 /// it in 6·64 word operations, entirely in registers (Hacker's Delight §7-3).

@@ -47,12 +47,6 @@ struct StripOps {
     for (unsigned w = 0; w < W; ++w) dst[w] = 0;
   }
 
-  static bool AnySet(const std::uint64_t* x) {
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < W; ++w) any |= x[w];
-    return any != 0;
-  }
-
   static bool Equal(const std::uint64_t* a, const std::uint64_t* b) {
     std::uint64_t diff = 0;
     for (unsigned w = 0; w < W; ++w) diff |= a[w] ^ b[w];

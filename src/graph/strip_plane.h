@@ -4,15 +4,15 @@
 /// StripReachabilityWorkspace consumes edge activity as W consecutive words
 /// per edge — word `words[(s*num_edges + e)*W + w]` is edge e's activity
 /// across the 64 samples of block s·W+w (bit t = sample t of that block).
-/// The layout is built by *interleaving* the per-block edge-major planes the
-/// SampleBank already materializes via the 64×64 transpose (bit_transpose.h)
-/// — no new bit-level transpose is needed, just a word gather. Blocks past
-/// the bank's last 64-row block (a ragged tail strip) stay zero, and the
-/// per-strip lane masks carry the valid-lane words so dead lanes never
-/// propagate.
+/// At W=1 the layout *is* the per-block edge-major plane the SampleBank
+/// materializes via the 64×64 transpose (bit_transpose.h); wider layouts
+/// are built by *interleaving* those block planes — no new bit-level
+/// transpose is needed, just a word gather. Blocks past the bank's last
+/// 64-row block (a ragged tail strip) stay zero, and the per-strip lane
+/// masks carry the valid-lane words so dead lanes never propagate.
 ///
 /// Planes are immutable after construction and published by shared_ptr
-/// swap (BankGeneration::AcquireStripPlane):
+/// (BankGeneration::AcquireStripPlane):
 /// readers that acquired a plane keep replaying it across concurrent bank
 /// refreshes, mirroring the generation RCU discipline.
 
@@ -42,13 +42,6 @@ struct StripPlane {
   }
   const std::uint64_t* StripLaneMask(std::size_t s) const {
     return lane_masks.data() + s * width;
-  }
-  /// 64-lane blocks actually covered by strip s (width, except possibly
-  /// fewer for the last strip).
-  unsigned StripBlocks(std::size_t s) const {
-    const std::size_t first = s * width;
-    const std::size_t left = num_blocks - first;
-    return left < width ? static_cast<unsigned>(left) : width;
   }
 };
 

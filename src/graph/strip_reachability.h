@@ -1,28 +1,46 @@
 /// \file strip_reachability.h
-/// \brief Multi-word bit-parallel BFS: 64·W sampled worlds per pass.
+/// \brief Bit-parallel BFS: reachability in 64·W sampled worlds per pass.
 ///
-/// BatchReachabilityWorkspace amortizes one adjacency walk over 64 sampled
-/// pseudo-states by packing edge activity into one `uint64_t` per edge.
-/// This workspace widens the lane plane to a **strip** of W words per edge
-/// (W ∈ {1, 4, 8} → 64/256/512 lanes per pass), so the same walk replays
-/// Eq. 5 over up to 512 states. Inputs are **strip-major**: word
+/// Every flow estimate replays reachability over many sampled pseudo-states
+/// of the *same* graph (Eq. 5: average an indicator over retained states).
+/// Running one scalar BFS per state wastes the machine word: edge activity
+/// is one bit per state, so 64 states fit in a `uint64_t` per edge. This
+/// workspace runs the BFS frontier as lane masks — bit s of `reached[v]`
+/// is set iff node v is reachable from the sources in sample s — and a
+/// node relaxes an out-edge for every sample at once with
+/// `reached[src] & plane[e]`. A **strip** holds W words per edge
+/// (W ∈ {1, 4, 8} → 64/256/512 lanes per pass), so one adjacency walk
+/// replays Eq. 5 over up to 512 states. Inputs are **strip-major**: word
 /// `strip_words[e*W + w]` is edge e's activity across the 64 samples of
-/// block w of the strip (see strip_plane.h for the layout builder). Every
-/// lane-mask argument and every ReachedMask() result is likewise a span of
-/// W words in block order.
+/// block w of the strip (see strip_plane.h for the layout builder; at W=1
+/// it is the bank's edge-major plane). Every lane-mask argument and every
+/// ReachedMask() result is likewise a span of W words in block order.
+/// Lane masks restrict a run to a subset of samples: propagation never
+/// leaves the mask, ragged tail blocks pass their valid-lane words, and
+/// conditional queries (Eq. 7–8) pass the surviving I(x, C) lanes so dead
+/// samples cost nothing.
 ///
-/// On top of the wider strips the fixpoint loop is direction-optimizing
-/// (Beamer-style): rounds run top-down — drain the frontier bitmap and push
-/// each node's delta mask through its out-edges — until the live frontier
-/// exceeds a tunable fraction of the graph's nodes, at which point a round
-/// flips to a bottom-up pull over the reversed CSR: every non-saturated
-/// node ORs in `reached[src] & plane[e]` across its in-edges in one
-/// sequential sweep, visiting each node once regardless of how many
-/// distinct arrival depths would have revisited it top-down. Reached masks
-/// grow monotonically under OR toward a unique fixpoint, so push and pull
-/// rounds commute: results are bit-identical to the 64-lane and scalar
-/// references whatever the sweep schedule (the differential suite in
-/// tests/test_strip_reachability.cc pins this).
+/// For W > 1 the fixpoint loop is direction-optimizing (Beamer-style):
+/// rounds run top-down — drain the frontier bitmap and push each node's
+/// delta mask through its out-edges — until the live frontier exceeds a
+/// tunable fraction of the graph's nodes, at which point a round flips to
+/// a bottom-up pull over the reversed CSR: every non-saturated node ORs in
+/// `reached[src] & plane[e]` across its in-edges in one sequential sweep,
+/// visiting each node once regardless of how many distinct arrival depths
+/// would have revisited it top-down. Reached masks grow monotonically
+/// under OR toward a unique fixpoint, so push and pull rounds commute:
+/// results are bit-identical to the scalar reference whatever the sweep
+/// schedule (the differential suite in tests/test_strip_reachability.cc
+/// pins this). The one-word strip runs push rounds only, with a scalar
+/// delta and no reversed CSR.
+///
+/// \code
+///   auto ws = StripWorkspace::Create(1, graph);
+///   const std::uint64_t lanes = ~std::uint64_t{0};
+///   ws->Run(graph, sources, edge_words, &lanes);  // edge_words: uint64[m]
+///   std::uint64_t hits = ws->ReachedMask(sink)[0];  // bit s: flows in s
+///   double p = std::popcount(hits) / 64.0;          // Eq. 5 over the block
+/// \endcode
 ///
 /// Callers that pick the width at runtime (query engine, sketch build,
 /// impact cascades) go through the StripWorkspace interface;
@@ -45,7 +63,7 @@ namespace infoflow {
 /// \brief Requested replay lane width (`--lanes {64,256,512,auto}`).
 ///
 /// kAuto picks the widest strip the batch fills: ≥512 rows → 512 lanes,
-/// ≥256 rows → 256 lanes, else the 64-lane reference path.
+/// ≥256 rows → 256 lanes, else the one-word 64-lane strip.
 enum class LaneWidth {
   kAuto,
   k64,
@@ -79,11 +97,12 @@ inline constexpr std::size_t kStripWorkingSetBudget = 640 * 1024;
 
 /// \brief Runtime-width handle over StripReachabilityWorkspace<W>.
 ///
-/// Mirrors the BatchReachabilityWorkspace API with every mask widened to a
-/// words()-word span; see that class for the contract of each member
-/// (Run ≡ Begin + Seed* + Propagate, RunUntil's early exit, the incremental
-/// Seed/Propagate discipline seedmax/rr_index.cc seeds sketches with).
-/// Not thread-safe; give each worker its own instance.
+/// The workspace allocates once and is reused across runs; instead of
+/// version stamps it re-zeroes only the previous run's touched set, so no
+/// counter can wrap. Every mask is a words()-word span. Not thread-safe;
+/// give each worker its own instance. The scalar ReachabilityWorkspace
+/// (graph/reachability.h) is the reference it is differentially tested
+/// against.
 class StripWorkspace {
  public:
   virtual ~StripWorkspace() = default;
@@ -91,6 +110,10 @@ class StripWorkspace {
   /// Strip width W: the number of 64-lane blocks every pass replays.
   virtual unsigned words() const = 0;
 
+  /// Propagates reached masks from `sources` (every source starts with
+  /// `lane_mask`) until fixpoint; ReachedMask() then answers per-sample
+  /// membership in the i-active node set. Passing a different graph
+  /// instance of the same node count rebinds (re-flattens) on the fly.
   virtual void Run(const DirectedGraph& graph,
                    const std::vector<NodeId>& sources,
                    const std::uint64_t* strip_words,
@@ -105,22 +128,40 @@ class StripWorkspace {
                         const std::uint64_t* lane_mask,
                         std::uint64_t* target_mask) = 0;
 
+  /// \brief Incremental interface, for callers that seed a node with its
+  /// own lane mask rather than one mask for every source (the reverse
+  /// sketch build in seedmax/rr_index.cc seeds each target with its
+  /// surviving lanes): `Begin` resets the workspace, then any sequence of
+  /// `Seed`/`Propagate` calls grows the reached masks monotonically, and
+  /// each Propagate continues from exactly the newly seeded delta instead
+  /// of recomputing the fixpoint from scratch. Every Begin/Seed sequence
+  /// must end with a Propagate before the workspace is reused.
+  ///
+  /// Run(g, srcs, words, lanes) ≡ Begin(g); Seed(s, lanes) ∀s; Propagate().
   virtual void Begin(const DirectedGraph& graph) = 0;
+  /// Adds `lanes` to `v`'s reached mask and queues the delta for the next
+  /// Propagate. A no-op when the mask already covers `lanes`.
   virtual void Seed(NodeId v, const std::uint64_t* lanes) = 0;
+  /// Propagates every pending Seed delta to fixpoint over `strip_words`.
   virtual void Propagate(const std::uint64_t* strip_words) = 0;
 
   /// W-word span; all-zero when v was never touched.
   virtual const std::uint64_t* ReachedMask(NodeId v) const = 0;
 
+  /// Nodes with a nonzero reached mask after the last run, in ascending
+  /// node-id order (includes sources).
   virtual const std::vector<NodeId>& TouchedNodes() const = 0;
 
-  /// `counts` spans words()·64 entries, indexed `w*64 + lane`.
+  /// \brief Popcount reduction: adds 1 to `counts[w*64 + lane]` for every
+  /// touched node reached in that lane. `counts` spans words()·64 entries.
+  /// With a single source this tallies per-sample spread sizes (source
+  /// included).
   virtual void AccumulateReachedCounts(std::uint32_t* counts) const = 0;
 
   /// A round flips to the bottom-up pull when the live frontier holds more
   /// than `fraction` of the graph's nodes. 0 forces every round bottom-up;
   /// anything > 1 forces pure top-down (both used by the differential
-  /// tests).
+  /// tests). Ignored at W=1, which always pushes.
   virtual void set_pull_threshold(double fraction) = 0;
 
   /// Factory over the explicit instantiations; `width_words` ∈ {1, 4, 8}.
@@ -138,8 +179,8 @@ inline constexpr double kDefaultPullThreshold = 0.25;
 /// ones (Isa, see strip_ops.h) in strip_reachability_avx2.cc/_avx512.cc
 /// when the toolchain can target those ISAs — Create() picks the widest
 /// variant the running CPU supports. All variants compute bit-identical
-/// masks. W=1 exists to differentially pin the template against
-/// BatchReachabilityWorkspace at identical width.
+/// masks. W=1 is the 64-lane replay: a push-only loop with a scalar delta
+/// (`if constexpr (W == 1)` in strip_reachability_inl.h).
 template <unsigned W, int Isa = kIsaGeneric>
 class StripReachabilityWorkspace final : public StripWorkspace {
  public:
@@ -202,23 +243,30 @@ class StripReachabilityWorkspace final : public StripWorkspace {
   /// delivered by a full pull round (bottom-up); pushes relax only the
   /// delta `reached_ & ~propagated_`.
   std::vector<std::uint64_t> propagated_;
-  /// Level-synchronous frontier bitmaps (bit v = node v pending), exactly
-  /// as in the 64-lane workspace.
+  /// Level-synchronous frontier bitmaps (bit v = node v pending): each
+  /// round drains frontier_bits_ in node-id order while merges branchlessly
+  /// mark growth in next_bits_; ever_bits_ accumulates every node that ever
+  /// grew and yields touched_ after the run.
   std::vector<std::uint64_t> frontier_bits_;
   std::vector<std::uint64_t> next_bits_;
   std::vector<std::uint64_t> ever_bits_;
   std::vector<NodeId> touched_;
 
   /// Union of every lane seeded since Begin: no reached mask can exceed it,
-  /// so a node matching it is saturated and the pull sweep skips it.
+  /// so a node matching it is saturated and the pull sweep skips it
+  /// (unused at W=1).
   std::uint64_t seeded_union_[W] = {};
 
   double pull_threshold_ = kDefaultPullThreshold;
 
-  /// Flat out-adjacency (as in BatchReachabilityWorkspace) plus the
-  /// reversed CSR the pull rounds sweep: node v's in-edges are
-  /// [in_first_[v], in_first_[v+1]), with the source node in in_src_ and
-  /// the *forward* edge id (the strip-plane index) in in_eid_.
+  /// Flat copy of the bound graph's out-adjacency. GraphBuilder assigns
+  /// edge ids in (src, dst) lexicographic order, so node v's out-edges are
+  /// the contiguous id range [first_edge_[v], first_edge_[v+1]) and the
+  /// plane can be walked sequentially; dst_[e] replaces the wider
+  /// Edge-struct load in the hot loop. For W > 1, also the reversed CSR
+  /// the pull rounds sweep: node v's in-edges are [in_first_[v],
+  /// in_first_[v+1]), with the source node in in_src_ and the *forward*
+  /// edge id (the strip-plane index) in in_eid_.
   const DirectedGraph* bound_graph_ = nullptr;
   std::vector<EdgeId> first_edge_;
   std::vector<NodeId> dst_;

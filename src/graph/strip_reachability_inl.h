@@ -61,6 +61,9 @@ void StripReachabilityWorkspace<W, Isa>::BindGraph(
     }
   }
   first_edge_[n] = k;
+  // The one-word strip never pulls (see Finish), so it carries no reversed
+  // CSR.
+  if constexpr (W == 1) return;
   // Reversed CSR for the bottom-up pull; in_eid_ keeps the forward edge id
   // so pulls index the same strip plane as pushes.
   in_first_.assign(n + 1, 0);
@@ -105,8 +108,11 @@ template <unsigned W, int Isa>
 void StripReachabilityWorkspace<W, Isa>::Begin(const DirectedGraph& graph) {
   IF_CHECK_EQ(reached_.size(), std::size_t{graph.num_nodes()} * W);
   if (&graph != bound_graph_) BindGraph(graph);
-  // Same between-runs invariant as the 64-lane workspace: only the previous
-  // run's touched set is nonzero, so clear that set, not all n·W words.
+  // Between runs only the previous run's touched set is nonzero, so clearing
+  // that set (not all n·W words) resets the workspace and needs no version
+  // stamps. Frontier bits are cleared for the touched set too, covering
+  // seeds from an abandoned Begin/Seed sequence (a finished run always
+  // leaves the bitmaps empty).
   for (const NodeId v : touched_) {
     StripOps<W, Isa>::Zero(&reached_[std::size_t{v} * W]);
     StripOps<W, Isa>::Zero(&propagated_[std::size_t{v} * W]);
@@ -127,7 +133,7 @@ void StripReachabilityWorkspace<W, Isa>::Seed(NodeId v,
   if (!StripOps<W, Isa>::MergeInto(rv, lanes) && ever) {
     return;  // nothing new to propagate
   }
-  StripOps<W, Isa>::MergeInto(seeded_union_, lanes);
+  if constexpr (W > 1) StripOps<W, Isa>::MergeInto(seeded_union_, lanes);
   frontier_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
   ever_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
 }
@@ -144,6 +150,37 @@ std::uint64_t StripReachabilityWorkspace<W, Isa>::PushRound(
     std::uint64_t* next) {
   std::uint64_t relaxed = 0;
   const std::size_t num_words = frontier_bits_.size();
+  if constexpr (W == 1) {
+    // One word per node is register-sized: relax straight off the frontier
+    // bits with a scalar delta. Run through the wide path below (64-node
+    // gather, prefetch sweep, live-word bookkeeping), the one-word strip
+    // measured 1.11–1.19× slower on a 4000-node, 4096-row bank.
+    for (std::size_t wi = 0; wi < num_words; ++wi) {
+      std::uint64_t bits = frontier[wi];
+      if (bits == 0) continue;
+      frontier[wi] = 0;
+      const NodeId base = static_cast<NodeId>(wi << 6);
+      do {
+        const NodeId u = base + static_cast<NodeId>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::uint64_t delta = reached_[u] & ~propagated_[u];
+        if (delta == 0) continue;  // duplicate source seed
+        propagated_[u] = reached_[u];
+        ++relaxed;
+        const EdgeId e1 = first_edge_[u + 1];
+        for (EdgeId e = first_edge_[u]; e < e1; ++e) {
+          // Branchless merge: unconditional OR into the destination, with
+          // the grew/didn't-grow bit folded into the right frontier word.
+          const NodeId v = dst_[e];
+          const std::uint64_t old = reached_[v];
+          const std::uint64_t merged = old | (delta & strip_words[e]);
+          reached_[v] = merged;
+          next[v >> 6] |= std::uint64_t{merged != old} << (v & 63);
+        }
+      } while (bits != 0);
+    }
+    return relaxed;
+  }
   NodeId batch[64];
   for (std::size_t wi = 0; wi < num_words; ++wi) {
     std::uint64_t bits = frontier[wi];
@@ -190,7 +227,7 @@ std::uint64_t StripReachabilityWorkspace<W, Isa>::PushRound(
         // Sparse revisit: near-critical replays grow different words on
         // different rounds, so most re-pushes carry deltas in one or two
         // of the W words. Relaxing only the live words keeps the wide
-        // strip's per-revisit cost near the 64-lane path's instead of W×
+        // strip's per-revisit cost near the one-word path's instead of W×
         // it; dead words contribute nothing, so answers are unchanged.
         for (EdgeId e = first_edge_[u]; e < e1; ++e) {
           const NodeId v = dst_[e];
@@ -278,7 +315,6 @@ void StripReachabilityWorkspace<W, Isa>::Finish(
   WallTimer timer;
   std::uint64_t frontier_words = 0;
   const std::size_t num_words = frontier_bits_.size();
-  const NodeId n = static_cast<NodeId>(first_edge_.size() - 1);
   std::uint64_t* frontier = frontier_bits_.data();
   std::uint64_t* next = next_bits_.data();
   bool done =
@@ -287,13 +323,18 @@ void StripReachabilityWorkspace<W, Isa>::Finish(
   while (!done) {
     // Direction choice à la Beamer: a wide live frontier makes the
     // one-visit-per-node pull sweep cheaper than revisiting push targets
-    // once per distinct arrival depth.
-    std::uint64_t live = 0;
-    for (std::size_t wi = 0; wi < num_words; ++wi) {
-      live += static_cast<std::uint64_t>(std::popcount(frontier[wi]));
+    // once per distinct arrival depth. The one-word strip always pushes:
+    // there the pull sweep measured slower than the revisits it saves.
+    bool pull = false;
+    if constexpr (W > 1) {
+      const NodeId n = static_cast<NodeId>(first_edge_.size() - 1);
+      std::uint64_t live = 0;
+      for (std::size_t wi = 0; wi < num_words; ++wi) {
+        live += static_cast<std::uint64_t>(std::popcount(frontier[wi]));
+      }
+      pull = static_cast<double>(live) >
+             pull_threshold_ * static_cast<double>(n);
     }
-    const bool pull =
-        static_cast<double>(live) > pull_threshold_ * static_cast<double>(n);
     frontier_words += pull ? PullRound(strip_words, frontier, next)
                            : PushRound(strip_words, frontier, next);
     std::uint64_t any = 0;
@@ -309,9 +350,12 @@ void StripReachabilityWorkspace<W, Isa>::Finish(
     }
     done = any == 0;
   }
-  // An early exit leaves a live frontier; restore the empty-bitmap
-  // invariant and re-extract touched_ from ever_bits_, exactly as the
-  // 64-lane workspace does.
+  // An early exit leaves a live frontier; zero both bitmaps so the next run
+  // starts from the empty-bitmap invariant. Touched set = every node whose
+  // mask ever grew (sources included): every growth passes through next at
+  // a round boundary, so ever_bits_ covers it, and extracting here keeps
+  // the hot loop free of a first-touch branch. ever_bits_ accumulates
+  // across repeated Propagate calls, so the list is rebuilt each time.
   std::fill(frontier_bits_.begin(), frontier_bits_.end(), 0);
   std::fill(next_bits_.begin(), next_bits_.end(), 0);
   touched_.clear();

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "graph/batch_reachability.h"
 #include "graph/strip_plane.h"
 #include "graph/strip_reachability.h"
 #include "obs/metrics.h"
@@ -108,28 +107,46 @@ Result<RrSketchSet> RrSketchSet::Build(
 
   WallTimer timer;
   const std::size_t num_blocks = generation.num_blocks();
+  // Replay width: strips of W consecutive blocks share one pass when the
+  // bank is deep enough (graph/strip_reachability.h), so the build
+  // consumes 64·W rows per BFS. Per-word results equal the per-block
+  // fixpoints, and postings are emitted per block in the same (target,
+  // node) order, so the built set is bit-identical at every width.
+  const unsigned strip_words =
+      ResolveStripWords(LaneWidth::kAuto, generation.num_rows(),
+                        parent.num_nodes(), parent.num_edges());
+  const std::shared_ptr<const StripPlane> strip_plane =
+      generation.AcquireStripPlane(strip_words);
+  const std::size_t num_strips = strip_plane->num_strips;
 
   // Eq. 7–8 lane narrowing: run each constraint on the *forward* graph and
   // keep only the surviving I(x, C) lanes, exactly as the conditional
   // query path does — sketches over dead lanes would bias the estimate.
-  std::vector<std::uint64_t> lane(num_blocks);
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    lane[b] = generation.BlockLaneMask(b);
-  }
+  // lane[b] is block b's surviving mask (zero past the last block).
+  std::vector<std::uint64_t> lane = strip_plane->lane_masks;
   std::size_t effective_rows = generation.num_rows();
   if (!options.given.empty()) {
     IF_RETURN_NOT_OK(ValidateConditions(parent, options.given));
-    BatchReachabilityWorkspace forward(parent);
+    auto forward = StripWorkspace::Create(strip_words, parent);
+    std::vector<NodeId> src(1);
+    std::uint64_t reached[kMaxStripWords];
     effective_rows = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
+    for (std::size_t s = 0; s < num_strips; ++s) {
+      std::uint64_t* lanes = &lane[s * strip_words];
       for (const FlowConstraint& c : options.given) {
-        if (lane[b] == 0) break;
-        const std::uint64_t reached =
-            forward.RunUntil(parent, {c.source}, generation.BlockEdgeWords(b),
-                             c.sink, lane[b]);
-        lane[b] = c.must_flow ? reached : lane[b] & ~reached;
+        std::uint64_t live = 0;
+        for (unsigned w = 0; w < strip_words; ++w) live |= lanes[w];
+        if (live == 0) break;
+        src[0] = c.source;
+        forward->RunUntil(parent, src, strip_plane->StripWords(s), c.sink,
+                          lanes, reached);
+        for (unsigned w = 0; w < strip_words; ++w) {
+          lanes[w] = c.must_flow ? reached[w] : lanes[w] & ~reached[w];
+        }
       }
-      effective_rows += static_cast<std::size_t>(std::popcount(lane[b]));
+      for (unsigned w = 0; w < strip_words; ++w) {
+        effective_rows += static_cast<std::size_t>(std::popcount(lanes[w]));
+      }
     }
     if (effective_rows < options.min_conditional_rows) {
       return Status::FailedPrecondition(
@@ -181,10 +198,10 @@ Result<RrSketchSet> RrSketchSet::Build(
     metrics.blocks_reused->Increment(reused_blocks);
   }
 
-  // Reverse passes over the fresh blocks: gather the block's plane into
+  // Reverse passes over the fresh blocks: gather the strip's plane into
   // transposed edge order once, then one Begin/Seed/Propagate pass per
-  // target answers "who reaches t" for all 64 rows of the block
-  // simultaneously. Blocks are independent, so they fan out over the pool
+  // target answers "who reaches t" for all 64·W rows of the strip
+  // simultaneously. Strips are independent, so they fan out over the pool
   // when one is supplied — each worker task owns its own workspace and
   // gathered plane and fills per-block posting vectors, which the merge
   // below concatenates in block order (bit-identical to the serial loop;
@@ -195,122 +212,58 @@ Result<RrSketchSet> RrSketchSet::Build(
     RrPosting posting;
   };
   std::vector<std::vector<NodePosting>> block_raw(num_blocks);
-  // Replay width: strips of W consecutive blocks share one reverse pass
-  // when the bank is deep enough (graph/strip_reachability.h), so the
-  // sketch build consumes 64·W rows per BFS. W=1 keeps the classic
-  // per-block loop. Per-word results equal the per-block fixpoints, and
-  // postings are emitted per block in the same (target, node) order, so
-  // the built set is bit-identical at every width.
-  const unsigned strip_words =
-      ResolveStripWords(LaneWidth::kAuto, generation.num_rows(),
-                        reversed.num_nodes(), reversed.num_edges());
-  if (strip_words > 1) {
-    std::shared_ptr<const StripPlane> strip_plane =
-        generation.AcquireStripPlane(strip_words);
-    const std::size_t num_strips = strip_plane->num_strips;
-    const auto build_strip = [&](StripWorkspace& workspace,
-                                 std::uint64_t* reversed_strip,
-                                 std::size_t s) {
-      const std::size_t b0 = s * strip_words;
-      // Reused and lane-dead blocks ride along with zero lane words: their
-      // masks stay zero, so they emit nothing — exactly a skip.
-      std::uint64_t strip_lanes[kMaxStripWords] = {};
-      std::uint64_t live = 0;
-      for (unsigned w = 0; w < strip_words && b0 + w < num_blocks; ++w) {
-        if (fresh[b0 + w] != 0) strip_lanes[w] = lane[b0 + w];
-        live |= strip_lanes[w];
-      }
-      if (live == 0) return;
-      view.GatherStrip(strip_plane->StripWords(s), strip_words,
-                       reversed_strip);
-      for (std::size_t ti = 0; ti < num_targets; ++ti) {
-        workspace.Begin(reversed);
-        workspace.Seed(targets[ti], strip_lanes);
-        workspace.Propagate(reversed_strip);
-        metrics.reverse_passes->Increment();
-        for (const NodeId u : workspace.TouchedNodes()) {
-          const std::uint64_t* mask = workspace.ReachedMask(u);
-          for (unsigned w = 0; w < strip_words; ++w) {
-            if (mask[w] == 0) continue;
-            const auto group =
-                static_cast<std::uint32_t>(ti * num_blocks + b0 + w);
-            block_raw[b0 + w].push_back({u, {group, mask[w]}});
-          }
-        }
-      }
-    };
-    if (options.pool != nullptr && options.pool->size() > 1 &&
-        num_strips > 1) {
-      const std::size_t num_chunks =
-          std::min(num_strips, options.pool->size() * 4);
-      const std::size_t per_chunk =
-          (num_strips + num_chunks - 1) / num_chunks;
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        const std::size_t begin = c * per_chunk;
-        const std::size_t end = std::min(num_strips, begin + per_chunk);
-        if (begin >= end) break;
-        options.pool->Submit([&, begin, end] {
-          auto workspace = StripWorkspace::Create(strip_words, reversed);
-          std::vector<std::uint64_t> reversed_strip(parent.num_edges() *
-                                                    strip_words);
-          for (std::size_t s = begin; s < end; ++s) {
-            build_strip(*workspace, reversed_strip.data(), s);
-          }
-        });
-      }
-      options.pool->Wait();
-    } else {
-      auto workspace = StripWorkspace::Create(strip_words, reversed);
-      std::vector<std::uint64_t> reversed_strip(parent.num_edges() *
-                                                strip_words);
-      for (std::size_t s = 0; s < num_strips; ++s) {
-        build_strip(*workspace, reversed_strip.data(), s);
-      }
+  const auto build_strip = [&](StripWorkspace& workspace,
+                               std::uint64_t* reversed_strip, std::size_t s) {
+    const std::size_t b0 = s * strip_words;
+    // Reused and lane-dead blocks ride along with zero lane words: their
+    // masks stay zero, so they emit nothing — exactly a skip.
+    std::uint64_t strip_lanes[kMaxStripWords] = {};
+    std::uint64_t live = 0;
+    for (unsigned w = 0; w < strip_words && b0 + w < num_blocks; ++w) {
+      if (fresh[b0 + w] != 0) strip_lanes[w] = lane[b0 + w];
+      live |= strip_lanes[w];
     }
-  } else {
-  const auto build_block = [&](BatchReachabilityWorkspace& workspace,
-                               std::uint64_t* reversed_words,
-                               std::size_t b) {
-    if (fresh[b] == 0 || lane[b] == 0) return;
-    view.GatherBlock(generation.BlockEdgeWords(b), reversed_words);
-    std::vector<NodePosting>& out = block_raw[b];
+    if (live == 0) return;
+    view.GatherStrip(strip_plane->StripWords(s), strip_words, reversed_strip);
     for (std::size_t ti = 0; ti < num_targets; ++ti) {
       workspace.Begin(reversed);
-      workspace.Seed(targets[ti], lane[b]);
-      workspace.Propagate(reversed_words);
+      workspace.Seed(targets[ti], strip_lanes);
+      workspace.Propagate(reversed_strip);
       metrics.reverse_passes->Increment();
-      const auto group = static_cast<std::uint32_t>(ti * num_blocks + b);
       for (const NodeId u : workspace.TouchedNodes()) {
-        out.push_back({u, {group, workspace.ReachedMask(u)}});
+        const std::uint64_t* mask = workspace.ReachedMask(u);
+        for (unsigned w = 0; w < strip_words; ++w) {
+          if (mask[w] == 0) continue;
+          const auto group =
+              static_cast<std::uint32_t>(ti * num_blocks + b0 + w);
+          block_raw[b0 + w].push_back({u, {group, mask[w]}});
+        }
       }
     }
   };
-  if (options.pool != nullptr && options.pool->size() > 1 && num_blocks > 1) {
-    // A few chunks per worker for balance (block costs vary with how many
+  const auto build_range = [&](std::size_t begin, std::size_t end) {
+    auto workspace = StripWorkspace::Create(strip_words, reversed);
+    std::vector<std::uint64_t> reversed_strip(parent.num_edges() *
+                                              strip_words);
+    for (std::size_t s = begin; s < end; ++s) {
+      build_strip(*workspace, reversed_strip.data(), s);
+    }
+  };
+  if (options.pool != nullptr && options.pool->size() > 1 && num_strips > 1) {
+    // A few chunks per worker for balance (strip costs vary with how many
     // lanes survive); each chunk amortizes one workspace + plane buffer.
     const std::size_t num_chunks =
-        std::min(num_blocks, options.pool->size() * 4);
-    const std::size_t per_chunk = (num_blocks + num_chunks - 1) / num_chunks;
+        std::min(num_strips, options.pool->size() * 4);
+    const std::size_t per_chunk = (num_strips + num_chunks - 1) / num_chunks;
     for (std::size_t c = 0; c < num_chunks; ++c) {
       const std::size_t begin = c * per_chunk;
-      const std::size_t end = std::min(num_blocks, begin + per_chunk);
+      const std::size_t end = std::min(num_strips, begin + per_chunk);
       if (begin >= end) break;
-      options.pool->Submit([&, begin, end] {
-        BatchReachabilityWorkspace workspace(reversed);
-        std::vector<std::uint64_t> reversed_words(parent.num_edges());
-        for (std::size_t b = begin; b < end; ++b) {
-          build_block(workspace, reversed_words.data(), b);
-        }
-      });
+      options.pool->Submit([&, begin, end] { build_range(begin, end); });
     }
     options.pool->Wait();
   } else {
-    BatchReachabilityWorkspace workspace(reversed);
-    std::vector<std::uint64_t> reversed_words(parent.num_edges());
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      build_block(workspace, reversed_words.data(), b);
-    }
-  }
+    build_range(0, num_strips);
   }
 
   // Lift the reused blocks' postings out of the previous set's node-major

@@ -15,17 +15,19 @@
 /// fresh cascade.
 ///
 /// Sketches are built **bit-parallel**, not by per-state scalar BFS: the
-/// bank's edge-major plane is gathered into reversed-graph edge order once
-/// per 64-row block, and one `BatchReachabilityWorkspace` pass seeded at a
-/// target on the *reversed* graph computes 64 RR sets at once — node u's
-/// reached mask bit s means "u reaches the target in row 64·b + s". The
-/// masks are stored lane-packed per node (postings), so greedy coverage
-/// counting is popcount over lane words.
+/// bank's W-word strip plane is gathered into reversed-graph edge order
+/// once per strip of 64·W rows, and one `StripWorkspace` pass seeded at a
+/// target on the *reversed* graph computes 64·W RR sets at once — word w
+/// of node u's reached mask, bit s, means "u reaches the target in row
+/// 64·(strip·W + w) + s". The masks are stored lane-packed per node and
+/// per 64-row block (postings), so greedy coverage counting is popcount
+/// over lane words.
 ///
 /// Conditioning (Eq. 7–8) reuses the serve tier's lane-mask discipline:
-/// constraints narrow each block's valid-lane mask to the surviving
-/// I(x, C) lanes on the *forward* graph before any sketch is built, so a
-/// constrained maximization only ever counts admissible pseudo-states.
+/// constraints narrow each strip's valid-lane masks to the surviving
+/// I(x, C) lanes on the *forward* graph, with the same strip replay,
+/// before any sketch is built, so a constrained maximization only ever
+/// counts admissible pseudo-states.
 ///
 /// `RrIndex` caches the default (unconstrained, all-targets) sketch set
 /// per bank generation with the same RCU publish discipline as the bank's
@@ -120,10 +122,10 @@ struct RrBuildOptions {
   /// Minimum surviving rows for a conditioned build — mirrors the query
   /// engine's conditional floor so estimates never silently degenerate.
   std::size_t min_conditional_rows = 32;
-  /// Worker pool for the reverse passes, parallel across 64-row blocks
-  /// (each worker owns its own BFS workspace and gathered plane); null →
-  /// serial. Per-block postings are merged back in block order, so the
-  /// built set is bit-identical to a serial build.
+  /// Worker pool for the reverse passes, parallel across strips (each
+  /// worker owns its own BFS workspace and gathered plane); null → serial.
+  /// Per-block postings are merged back in block order, so the built set
+  /// is bit-identical to a serial build.
   ThreadPool* pool = nullptr;
   /// \brief Incremental rebuild (the RrIndex refresh path): blocks whose
   /// edge-major planes are bit-identical between `previous_rows` and the
@@ -207,7 +209,7 @@ class RrIndex {
   const ReversedGraphView& view() const { return view_; }
 
   /// The sketch-build worker pool (for ad-hoc constrained builds, which
-  /// parallelize across blocks exactly like the cached default build).
+  /// parallelize across strips exactly like the cached default build).
   ThreadPool& pool() { return pool_; }
 
   /// \brief The default (all-targets, unconditioned) sketch set for

@@ -27,84 +27,21 @@ bool RowSatisfies(const DirectedGraph& graph, const std::uint64_t* row,
   return true;
 }
 
-/// The single-graph BlockOps: every block's 64 rows are answered directly
-/// over the bank's plane (batch path) or its packed rows (scalar reference
-/// path), one BFS workspace per pool worker. When the batch resolved a
-/// multi-word lane width, `strip_plane` is the bank's interleaved W-word
-/// plane and the Strip* hooks replay whole strips through the per-worker
-/// StripWorkspaces; at 64 lanes it is null and the per-block hooks run
-/// byte-for-byte as before.
+/// The single-graph BlockOps: each strip is replayed over the bank's
+/// W-word strip plane through the per-worker StripWorkspaces (W=1 for
+/// 64 lanes), or, on the scalar reference path (`strip_plane` null, one
+/// block per strip), answered one BFS per live row over the packed rows.
 class SingleGraphOps final : public BlockOps {
  public:
   SingleGraphOps(const DirectedGraph& graph, const BankGeneration& bank,
-                 bool batch_bfs,
                  std::vector<ReachabilityWorkspace>& workspaces,
-                 std::vector<BatchReachabilityWorkspace>& batch_workspaces,
                  const StripPlane* strip_plane,
-                 std::vector<std::unique_ptr<StripWorkspace>>* strip_workspaces)
+                 std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces)
       : graph_(graph),
         bank_(bank),
-        batch_bfs_(batch_bfs),
         workspaces_(workspaces),
-        batch_workspaces_(batch_workspaces),
         strip_plane_(strip_plane),
         strip_workspaces_(strip_workspaces) {}
-
-  std::uint64_t BlockConditions(std::size_t worker, std::size_t block,
-                                const FlowConditions& conditions,
-                                std::uint64_t lanes) override {
-    std::vector<NodeId> src(1);
-    if (batch_bfs_) {
-      // Each constraint's BFS runs only over the still-live lanes, so
-      // every dropped row makes the remaining constraints cheaper
-      // (blockwise I(x, C) of Eq. 7–8).
-      const std::uint64_t* words = bank_.BlockEdgeWords(block);
-      BatchReachabilityWorkspace& ws = batch_workspaces_[worker];
-      for (const FlowConstraint& c : conditions) {
-        if (lanes == 0) break;
-        src[0] = c.source;
-        const std::uint64_t reached =
-            ws.RunUntil(graph_, src, words, c.sink, lanes);
-        lanes = c.must_flow ? reached : lanes & ~reached;
-      }
-      return lanes;
-    }
-    ReachabilityWorkspace& ws = workspaces_[worker];
-    const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
-    std::uint64_t word = 0;
-    for (std::size_t r = block * 64; r < row_end; ++r) {
-      if ((lanes >> (r & 63) & 1) == 0) continue;
-      if (RowSatisfies(graph_, bank_.Row(r), conditions, ws, src)) {
-        word |= std::uint64_t{1} << (r & 63);
-      }
-    }
-    return word;
-  }
-
-  void BlockReach(std::size_t worker, std::size_t block,
-                  const std::vector<NodeId>& sources, std::uint64_t lanes,
-                  const std::vector<NodeId>& sinks,
-                  std::uint64_t* out) override {
-    if (batch_bfs_) {
-      BatchReachabilityWorkspace& ws = batch_workspaces_[worker];
-      ws.Run(graph_, sources, bank_.BlockEdgeWords(block), lanes);
-      for (std::size_t s = 0; s < sinks.size(); ++s) {
-        out[s] = ws.ReachedMask(sinks[s]);
-      }
-      return;
-    }
-    ReachabilityWorkspace& ws = workspaces_[worker];
-    std::fill(out, out + sinks.size(), 0);
-    const std::size_t row_end = std::min(bank_.num_rows(), (block + 1) * 64);
-    for (std::size_t r = block * 64; r < row_end; ++r) {
-      if ((lanes >> (r & 63) & 1) == 0) continue;
-      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-      ws.RunPacked(graph_, sources, bank_.Row(r));
-      for (std::size_t s = 0; s < sinks.size(); ++s) {
-        if (ws.IsReached(sinks[s])) out[s] |= bit;
-      }
-    }
-  }
 
   unsigned StripWords() const override {
     return strip_plane_ != nullptr ? strip_plane_->width : 1;
@@ -113,13 +50,25 @@ class SingleGraphOps final : public BlockOps {
   void StripConditions(std::size_t worker, std::size_t strip,
                        const FlowConditions& conditions,
                        std::uint64_t* lanes) override {
+    std::vector<NodeId> src(1);
     if (strip_plane_ == nullptr) {
-      BlockOps::StripConditions(worker, strip, conditions, lanes);
+      ReachabilityWorkspace& ws = workspaces_[worker];
+      const std::size_t row_end = std::min(bank_.num_rows(), (strip + 1) * 64);
+      std::uint64_t word = 0;
+      for (std::size_t r = strip * 64; r < row_end; ++r) {
+        if ((lanes[0] >> (r & 63) & 1) == 0) continue;
+        if (RowSatisfies(graph_, bank_.Row(r), conditions, ws, src)) {
+          word |= std::uint64_t{1} << (r & 63);
+        }
+      }
+      lanes[0] = word;
       return;
     }
+    // Each constraint's BFS runs only over the still-live lanes, so every
+    // dropped row makes the remaining constraints cheaper (stripwise
+    // I(x, C) of Eq. 7–8).
     const unsigned wn = strip_plane_->width;
-    StripWorkspace& ws = *(*strip_workspaces_)[worker];
-    std::vector<NodeId> src(1);
+    StripWorkspace& ws = *strip_workspaces_[worker];
     std::uint64_t reached[kMaxStripWords];
     for (const FlowConstraint& c : conditions) {
       std::uint64_t live = 0;
@@ -139,11 +88,21 @@ class SingleGraphOps final : public BlockOps {
                   const std::uint64_t* lanes, const std::vector<NodeId>& sinks,
                   std::uint64_t* out) override {
     if (strip_plane_ == nullptr) {
-      BlockOps::StripReach(worker, strip, sources, lanes, sinks, out);
+      ReachabilityWorkspace& ws = workspaces_[worker];
+      std::fill(out, out + sinks.size(), 0);
+      const std::size_t row_end = std::min(bank_.num_rows(), (strip + 1) * 64);
+      for (std::size_t r = strip * 64; r < row_end; ++r) {
+        if ((lanes[0] >> (r & 63) & 1) == 0) continue;
+        const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+        ws.RunPacked(graph_, sources, bank_.Row(r));
+        for (std::size_t s = 0; s < sinks.size(); ++s) {
+          if (ws.IsReached(sinks[s])) out[s] |= bit;
+        }
+      }
       return;
     }
     const unsigned wn = strip_plane_->width;
-    StripWorkspace& ws = *(*strip_workspaces_)[worker];
+    StripWorkspace& ws = *strip_workspaces_[worker];
     ws.Run(graph_, sources, strip_plane_->StripWords(strip), lanes);
     for (std::size_t s = 0; s < sinks.size(); ++s) {
       const std::uint64_t* mask = ws.ReachedMask(sinks[s]);
@@ -154,11 +113,9 @@ class SingleGraphOps final : public BlockOps {
  private:
   const DirectedGraph& graph_;
   const BankGeneration& bank_;
-  const bool batch_bfs_;
   std::vector<ReachabilityWorkspace>& workspaces_;
-  std::vector<BatchReachabilityWorkspace>& batch_workspaces_;
   const StripPlane* strip_plane_;
-  std::vector<std::unique_ptr<StripWorkspace>>* strip_workspaces_;
+  std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces_;
 };
 
 }  // namespace
@@ -321,12 +278,10 @@ QueryEngine::QueryEngine(std::shared_ptr<const DirectedGraph> graph,
       options_(options),
       pool_(std::make_unique<ThreadPool>(options.num_threads)) {
   workspaces_.reserve(pool_->size());
-  batch_workspaces_.reserve(pool_->size());
   for (std::size_t t = 0; t < pool_->size(); ++t) {
     workspaces_.emplace_back(*graph_);
-    batch_workspaces_.emplace_back(*graph_);
   }
-  // Strip workspaces stay null until a batch resolves a multi-word width.
+  // Strip workspaces stay null until a batch resolves its width.
   strip_workspaces_.resize(pool_->size());
 }
 
@@ -336,27 +291,24 @@ std::vector<QueryResult> QueryEngine::AnswerBatch(
   BackendDispatcher dispatcher(*graph_, options_);
   const std::vector<std::size_t> bank_indices =
       dispatcher.Partition(bank, requests, results);
-  // Resolve the replay width against this generation's row count; the
-  // W-word strip plane is interleaved lazily on first acquisition and
-  // cached on the generation, so later batches pay nothing.
+  // Resolve the replay width against this generation's row count; a
+  // W-word strip plane (W > 1) is interleaved lazily on first acquisition
+  // and cached on the generation, so later batches pay nothing.
   std::shared_ptr<const StripPlane> strip_plane;
   if (options_.use_batch_reachability) {
     const unsigned strip_words =
         ResolveStripWords(options_.lanes, bank.num_rows(),
                           graph_->num_nodes(), graph_->num_edges());
-    if (strip_words > 1) {
-      strip_plane = bank.AcquireStripPlane(strip_words);
-      for (auto& ws : strip_workspaces_) {
-        if (ws == nullptr || ws->words() != strip_words) {
-          ws = StripWorkspace::Create(strip_words, *graph_);
-        }
+    strip_plane = bank.AcquireStripPlane(strip_words);
+    for (auto& ws : strip_workspaces_) {
+      if (ws == nullptr || ws->words() != strip_words) {
+        ws = StripWorkspace::Create(strip_words, *graph_);
       }
     }
     obs::GetGauge("reach.strip_width").Set(64.0 * strip_words);
   }
-  SingleGraphOps ops(*graph_, bank, options_.use_batch_reachability,
-                     workspaces_, batch_workspaces_, strip_plane.get(),
-                     &strip_workspaces_);
+  SingleGraphOps ops(*graph_, bank, workspaces_, strip_plane.get(),
+                     strip_workspaces_);
   QueryPlanOptions plan;
   plan.min_conditional_rows = options_.min_conditional_rows;
   plan.rows_per_task = options_.rows_per_task;

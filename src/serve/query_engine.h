@@ -16,13 +16,14 @@
 /// batch. Row scans run in parallel over the engine's thread pool, rows
 /// partitioned contiguously per worker.
 ///
-/// Bit-parallel row scans: by default the engine consumes the bank's
-/// edge-major plane through BatchReachabilityWorkspace, answering 64 rows
-/// per BFS pass — row masks, conditioning indicators I(x, C) and per-sink
-/// indicators are all computed blockwise as 64-bit lane masks, with
-/// conditional constraints narrowing the live lanes so dead rows cost
-/// nothing. The scalar one-BFS-per-row path (ReachabilityWorkspace over
-/// packed rows) is kept as the reference implementation behind
+/// Bit-parallel row scans: by default the engine replays the bank's
+/// W-word strip plane through StripWorkspace, answering 64·W rows per BFS
+/// pass (W=1 is the bank's edge-major plane itself) — row masks,
+/// conditioning indicators I(x, C) and per-sink indicators are all
+/// computed stripwise as 64-bit lane masks, with conditional constraints
+/// narrowing the live lanes so dead rows cost nothing. The scalar
+/// one-BFS-per-row path (ReachabilityWorkspace over packed rows) is kept
+/// as the reference implementation behind
 /// `QueryEngineOptions::use_batch_reachability = false` (the serve
 /// daemon's `--scalar-reachability` escape hatch); both paths produce
 /// bit-identical results, which the differential tests assert.
@@ -46,7 +47,6 @@
 
 #include "analytic/cascade_estimator.h"
 #include "core/flow_query.h"
-#include "graph/batch_reachability.h"
 #include "graph/graph.h"
 #include "graph/reachability.h"
 #include "graph/strip_reachability.h"
@@ -175,15 +175,14 @@ struct QueryEngineOptions {
   std::size_t num_threads = 0;
   /// Rows scanned between deadline checks inside a worker.
   std::size_t rows_per_task = 256;
-  /// Answer row scans 64 rows at a time over the bank's edge-major plane
-  /// (graph/batch_reachability.h). false falls back to the scalar
+  /// Answer row scans 64·W rows at a time over the bank's strip planes
+  /// (graph/strip_reachability.h). false falls back to the scalar
   /// one-BFS-per-row reference path — the `--scalar-reachability` escape
   /// hatch; results are bit-identical either way.
   bool use_batch_reachability = true;
-  /// Replay lane width for the batch path (`--lanes {64,256,512,auto}`).
-  /// k64 keeps the classic one-word BatchReachabilityWorkspace; k256/k512
-  /// replay 4/8-word strips (graph/strip_reachability.h) so one BFS pass
-  /// answers 256/512 rows; kAuto picks the widest strip the bank fills.
+  /// Replay lane width for the batch path (`--lanes {64,256,512,auto}`):
+  /// k64/k256/k512 replay 1/4/8-word strips, so one BFS pass answers
+  /// 64/256/512 rows; kAuto picks the widest strip the bank fills.
   /// Results are bit-identical at every width (differentially tested).
   /// Ignored on the scalar reference path.
   LaneWidth lanes = LaneWidth::kAuto;
@@ -263,11 +262,9 @@ class QueryEngine {
   std::unique_ptr<ThreadPool> pool_;
   /// Scratch BFS workspace per worker task index (scalar reference path).
   std::vector<ReachabilityWorkspace> workspaces_;
-  /// Scratch bit-parallel workspace per worker task index (batch path).
-  std::vector<BatchReachabilityWorkspace> batch_workspaces_;
-  /// Scratch multi-word strip workspace per worker (batch path at 256/512
-  /// lanes). Lazily created at the batch's resolved width and recreated
-  /// only when a later batch resolves a different width.
+  /// Scratch strip workspace per worker task index (batch path). Lazily
+  /// created at the batch's resolved width and recreated only when a later
+  /// batch resolves a different width.
   std::vector<std::unique_ptr<StripWorkspace>> strip_workspaces_;
 };
 

@@ -244,10 +244,10 @@ std::vector<QueryResult> RunQueryPlan(
     given_of[i] = g;
   }
 
-  // Workers partition whole strips of W consecutive blocks (W = 1 for the
-  // per-block engines), so mask/indicator words are never shared between
-  // tasks — the scalar path writes single bits into the same words the
-  // batch path fills 64·W at a time.
+  // Workers partition whole strips of W consecutive blocks (W = 1 on the
+  // scalar reference path), so mask/indicator words are never shared
+  // between tasks — the scalar path writes single bits into the same words
+  // the strip replay fills 64·W at a time.
   const unsigned strip_words = std::max(1u, ops.StripWords());
   IF_CHECK_LE(strip_words, kMaxStripWords);
   const std::size_t num_strips = (num_blocks + strip_words - 1) / strip_words;

@@ -1,6 +1,7 @@
 #include "serve/sample_bank.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "graph/bit_transpose.h"
@@ -8,6 +9,16 @@
 #include "util/check.h"
 
 namespace infoflow::serve {
+namespace {
+
+/// Resident bytes of a plane's words and lane masks (the
+/// serve.bank.plane_bytes.* gauges).
+double PlaneBytes(const StripPlane& plane) {
+  return static_cast<double>((plane.words.size() + plane.lane_masks.size()) *
+                             sizeof(std::uint64_t));
+}
+
+}  // namespace
 
 Status BankOptions::Validate() const {
   if (num_states == 0) {
@@ -29,17 +40,24 @@ BankGeneration::BankGeneration(std::uint64_t id, std::uint64_t model_epoch,
       words_(num_rows_ * words_per_row_, 0),
       strip_mutex_(std::make_unique<std::mutex>()) {}
 
-void BankGeneration::BuildEdgeMajor() {
-  edge_major_.assign(num_blocks() * num_edges_, 0);
+void BankGeneration::BuildEdgePlane() {
+  auto edge_plane = std::make_shared<StripPlane>();
+  edge_plane->width = 1;
+  edge_plane->num_edges = num_edges_;
+  edge_plane->num_blocks = num_blocks();
+  edge_plane->num_strips = num_blocks();
+  edge_plane->words.assign(num_blocks() * num_edges_, 0);
+  edge_plane->lane_masks.resize(num_blocks());
   // Cache-blocked transpose: each (64-row block × 64-edge column) tile is
   // gathered from the packed rows, transposed in registers, and scattered
   // into the block's edge-major plane. A ragged tail block zero-fills the
   // missing rows, so bits above the lane mask are always clear.
   std::uint64_t tile[64];
   for (std::size_t b = 0; b < num_blocks(); ++b) {
+    edge_plane->lane_masks[b] = BlockLaneMask(b);
     const std::size_t row0 = b * 64;
     const std::size_t rows = std::min<std::size_t>(64, num_rows_ - row0);
-    std::uint64_t* plane = edge_major_.data() + b * num_edges_;
+    std::uint64_t* plane = edge_plane->words.data() + b * num_edges_;
     for (std::size_t w = 0; w < words_per_row_; ++w) {
       for (std::size_t i = 0; i < rows; ++i) tile[i] = Row(row0 + i)[w];
       for (std::size_t i = rows; i < 64; ++i) tile[i] = 0;
@@ -49,11 +67,14 @@ void BankGeneration::BuildEdgeMajor() {
       for (std::size_t j = 0; j < cols; ++j) plane[e0 + j] = tile[j];
     }
   }
+  edge_plane_ = std::move(edge_plane);
 }
 
 std::shared_ptr<const StripPlane> BankGeneration::AcquireStripPlane(
     unsigned width) const {
-  IF_CHECK(width == 4 || width == 8) << "unsupported strip width " << width;
+  IF_CHECK(width == 1 || width == 4 || width == 8)
+      << "unsupported strip width " << width;
+  if (width == 1) return edge_plane_;
   const std::size_t slot = width == 4 ? 0 : 1;
   {
     std::lock_guard<std::mutex> lock(*strip_mutex_);
@@ -71,6 +92,8 @@ std::shared_ptr<const StripPlane> BankGeneration::AcquireStripPlane(
   obs::GetHistogram("serve.bank.strip_interleave_ms",
                     {0.1, 0.5, 2.5, 10.0, 50.0, 250.0, 1000.0})
       .Record(timer.Millis());
+  obs::GetGauge("serve.bank.plane_bytes." + std::to_string(64 * width))
+      .Set(PlaneBytes(*plane));
   std::lock_guard<std::mutex> lock(*strip_mutex_);
   if (!strip_planes_[slot]) strip_planes_[slot] = std::move(plane);
   return strip_planes_[slot];
@@ -120,6 +143,8 @@ SampleBank::SampleBank(std::unique_ptr<MultiChainSampler> engine,
       metric_rows_(&obs::GetGauge("serve.bank.rows")),
       metric_age_s_(&obs::GetGauge("serve.bank.age_s")),
       metric_model_epoch_(&obs::GetGauge("serve.bank.model_epoch")),
+      metric_rows_bytes_(&obs::GetGauge("serve.bank.plane_bytes.rows")),
+      metric_plane64_bytes_(&obs::GetGauge("serve.bank.plane_bytes.64")),
       metric_refreshes_(&obs::GetCounter("serve.bank.refreshes_total")),
       metric_rebuilds_(&obs::GetCounter("serve.bank.rebuilds_total")),
       metric_fill_ms_(&obs::GetHistogram(
@@ -158,13 +183,16 @@ std::shared_ptr<const BankGeneration> SampleBank::Fill(
         }
       });
   {
-    // The edge-major plane the batch reachability path consumes; built
+    // The one-word strip plane every replay width starts from; built
     // before publish so readers only ever see a complete plane.
     obs::TraceSpan transpose_span("serve/bank_transpose");
     WallTimer transpose_timer;
-    generation->BuildEdgeMajor();
+    generation->BuildEdgePlane();
     metric_transpose_ms_->Record(transpose_timer.Millis());
   }
+  metric_rows_bytes_->Set(
+      static_cast<double>(generation->words_.size() * sizeof(std::uint64_t)));
+  metric_plane64_bytes_->Set(PlaneBytes(*generation->edge_plane_));
   metric_fill_ms_->Record(timer.Millis());
   metric_generation_->Set(static_cast<double>(id));
   metric_rows_->Set(static_cast<double>(generation->num_rows()));

@@ -19,13 +19,15 @@
 ///
 /// Each generation additionally carries a **transposed, edge-major plane**:
 /// rows are grouped into blocks of 64 and, per block, each edge stores one
-/// word whose bit s is the edge's activity in the block's row s — the
-/// layout graph/batch_reachability.h consumes to answer reachability for
-/// 64 retained states in a single BFS pass. The plane is built at Fill
-/// time by a cache-blocked 64×64 bitset transpose of the packed rows
-/// (graph/bit_transpose.h) and doubles the bank's footprint (the 4096-state
-/// fig6 bank goes from ~7 MB to ~14 MB) — the price of the batch query
-/// path's ~order-of-magnitude speedup.
+/// word whose bit s is the edge's activity in the block's row s. That is
+/// the one-word strip plane (graph/strip_plane.h at W=1), which
+/// StripWorkspace replays to answer reachability for 64 retained states in
+/// a single BFS pass. The plane is built at Fill time by a cache-blocked
+/// 64×64 bitset transpose of the packed rows (graph/bit_transpose.h) and
+/// doubles the bank's footprint (the 4096-state fig6 bank goes from ~7 MB
+/// to ~14 MB) — the price of the bit-parallel query path's
+/// ~order-of-magnitude speedup. Wider strip planes (W ∈ {4, 8}) are
+/// interleaved from it lazily, per width served.
 ///
 /// Generations: the bank hands out immutable `BankGeneration` objects by
 /// shared_ptr. `Refresh()` advances the chains (burn-in is paid only once,
@@ -117,21 +119,20 @@ class BankGeneration {
   }
 
   /// Edge-major plane of block `b`: num_edges() words, word e's bit s =
-  /// edge e's activity in row 64·b + s — the form
-  /// BatchReachabilityWorkspace consumes directly. Bits beyond the lane
-  /// mask are zero.
+  /// edge e's activity in row 64·b + s. This is strip b of the one-word
+  /// plane AcquireStripPlane(1) returns. Bits beyond the lane mask are zero.
   const std::uint64_t* BlockEdgeWords(std::size_t b) const {
-    return edge_major_.data() + b * num_edges_;
+    return edge_plane_->StripWords(b);
   }
 
-  /// \brief Strip-major plane for `width`-word strips (width ∈ {4, 8}; the
-  /// 64-lane path reads BlockEdgeWords directly). Word
-  /// `[(s·num_edges + e)·width + w]` is block s·width+w's word e, so one
-  /// StripReachabilityWorkspace pass replays 64·width rows.
+  /// \brief Strip-major plane for `width`-word strips (width ∈ {1, 4, 8}).
+  /// Word `[(s·num_edges + e)·width + w]` is block s·width+w's word e, so
+  /// one StripWorkspace pass replays 64·width rows.
   ///
-  /// Built lazily on first use by interleaving the per-block edge-major
-  /// plane (a word gather — no new bit transpose) and cached per width for
-  /// the generation's lifetime: the plane is immutable after publish and
+  /// Width 1 is the edge-major plane built at fill time, returned as is.
+  /// Wider planes are built lazily on first use by interleaving it (a word
+  /// gather — no new bit transpose) and cached per width for the
+  /// generation's lifetime: the plane is immutable after publish and
   /// handed out by shared_ptr swap under an internal mutex, so every query
   /// engine sharing this generation re-uses one plane instead of
   /// re-interleaving per width choice, and readers keep their plane across
@@ -165,22 +166,22 @@ class BankGeneration {
   std::size_t num_chains_;
   std::size_t rows_per_chain_;
   std::size_t num_rows_;
-  /// Transposes words_ into edge_major_ (called once, at fill time, before
+  /// Transposes words_ into edge_plane_ (called once, at fill time, before
   /// the generation is published).
-  void BuildEdgeMajor();
+  void BuildEdgePlane();
 
   /// The epoch's model, shared with the owning bank (see model()).
   std::shared_ptr<const PointIcm> model_ptr_;
   /// Row-major packed bits: words_[r·words_per_row + w].
   std::vector<std::uint64_t> words_;
-  /// Edge-major packed bits: edge_major_[b·num_edges + e] bit s = edge e's
-  /// activity in row 64·b + s.
-  std::vector<std::uint64_t> edge_major_;
+  /// Edge-major packed bits, the one-word strip plane: word b·num_edges + e
+  /// bit s = edge e's activity in row 64·b + s.
+  std::shared_ptr<const StripPlane> edge_plane_;
 
   /// Lazily built strip planes, slot 0 → width 4, slot 1 → width 8 (see
   /// AcquireStripPlane). The mutex lives behind unique_ptr so the
   /// generation stays movable during construction; each cached plane costs
-  /// another edge_major_-sized footprint, paid only for widths served.
+  /// another edge_plane_-sized footprint, paid only for widths served.
   mutable std::unique_ptr<std::mutex> strip_mutex_;
   mutable std::shared_ptr<const StripPlane> strip_planes_[2];
 };
@@ -269,6 +270,10 @@ class SampleBank {
   obs::Gauge* metric_rows_;
   obs::Gauge* metric_age_s_;
   obs::Gauge* metric_model_epoch_;
+  /// serve.bank.plane_bytes.{rows,64}: the two layouts every fill builds
+  /// (256/512 are set by AcquireStripPlane when those planes are built).
+  obs::Gauge* metric_rows_bytes_;
+  obs::Gauge* metric_plane64_bytes_;
   obs::Counter* metric_refreshes_;
   obs::Counter* metric_rebuilds_;
   obs::Histogram* metric_fill_ms_;

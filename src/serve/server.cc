@@ -114,6 +114,8 @@ Server::Server(SampleBank bank, ServerOptions options)
       metric_topk_requests_(
           &obs::GetCounter("serve.server.topk_requests_total")),
       metric_slow_queries_(&obs::GetCounter("serve.slow_queries_total")),
+      metric_oversized_lines_(
+          &obs::GetCounter("serve.protocol.oversized_lines_total")),
       metric_qps_(&obs::GetGauge("serve.server.queries_per_s")),
       metric_batch_lines_(&obs::GetHistogram(
           "serve.server.batch_lines",
@@ -132,6 +134,8 @@ Status Server::ServeFd(int in_fd, int out_fd) {
   LineReader reader(in_fd, options_.interrupt);
   std::string line;
   std::vector<std::string> lines;
+  // oversized[j]: line j exceeded kMaxLineBytes and was dropped unread.
+  std::vector<bool> oversized;
   // Responses to lines answered while parsing (errors, admin, top-k,
   // ingest). A query line's slot stays empty: every response is non-empty,
   // so an empty slot marks the next query result.
@@ -141,16 +145,27 @@ Status Server::ServeFd(int in_fd, int out_fd) {
   while (reader.NextLine(line)) {
     WallTimer timer;
     lines.clear();
+    oversized.clear();
     lines.push_back(std::move(line));
+    oversized.push_back(reader.oversized());
     // Greedy batch: fold in every complete line the client already sent.
     while (lines.size() < options_.max_batch && reader.TryNextLine(line)) {
       lines.push_back(std::move(line));
+      oversized.push_back(reader.oversized());
     }
 
     early.assign(lines.size(), std::string());
     requests.clear();
     for (std::size_t j = 0; j < lines.size(); ++j) {
       std::string& response = early[j];
+      if (oversized[j]) {
+        metric_oversized_lines_->Increment();
+        SerializeParseError(
+            Status::InvalidArgument("request line longer than ",
+                                    kMaxLineBytes, " bytes"),
+            JsonValue(), response);
+        continue;
+      }
       if (lines[j].empty()) {
         SerializeParseError(Status::InvalidArgument("empty request line"),
                             JsonValue(), response);
@@ -585,13 +600,14 @@ void Server::Stop() {
   // epoch), then the listener and the connection threads (an open
   // connection can absorb an {"ingest":...} line until it is joined).
   if (ingestor_ != nullptr) ingestor_->StopFeed();
+  // shutdown() unblocks accept(); the fd is closed and cleared only after
+  // the accept thread, which reads it, has been joined.
+  if (bg.listen_fd >= 0) shutdown(bg.listen_fd, SHUT_RDWR);
+  if (bg.accept_thread.joinable()) bg.accept_thread.join();
   if (bg.listen_fd >= 0) {
-    // shutdown() unblocks accept(); close() invalidates the fd.
-    shutdown(bg.listen_fd, SHUT_RDWR);
     close(bg.listen_fd);
     bg.listen_fd = -1;
   }
-  if (bg.accept_thread.joinable()) bg.accept_thread.join();
   if (bg.refresh_thread.joinable()) bg.refresh_thread.join();
   if (bg.stats_thread.joinable()) bg.stats_thread.join();
   // Final snapshot so the artifact reflects every line served, even on a

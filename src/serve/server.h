@@ -180,6 +180,9 @@ class Server {
   obs::Counter* metric_admin_requests_;
   obs::Counter* metric_topk_requests_;
   obs::Counter* metric_slow_queries_;
+  /// Request lines longer than kMaxLineBytes (each answered with one
+  /// invalid-argument error).
+  obs::Counter* metric_oversized_lines_;
   obs::Gauge* metric_qps_;
   obs::Histogram* metric_batch_lines_;
 };

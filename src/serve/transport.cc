@@ -44,15 +44,36 @@ bool LineReader::TryNextLine(std::string& line) {
 
 bool LineReader::PopBufferedLine(std::string& line) {
   const std::size_t pos = buffer_.find('\n', head_);
-  if (pos == std::string::npos) return false;
-  line.assign(buffer_, head_, pos - head_);
+  if (pos == std::string::npos) {
+    // Only the unterminated tail is buffered; past the cap it is dropped
+    // and the rest of its line is skipped as it arrives.
+    if (discarding_ || buffer_.size() - head_ > kMaxLineBytes) {
+      discarding_ = true;
+      buffer_.clear();
+      head_ = 0;
+    }
+    return false;
+  }
+  oversized_ = discarding_ || pos - head_ > kMaxLineBytes;
+  discarding_ = false;
+  if (oversized_) {
+    line.clear();
+  } else {
+    line.assign(buffer_, head_, pos - head_);
+  }
   head_ = pos + 1;
   return true;
 }
 
 bool LineReader::PopRemainder(std::string& line) {
-  if (head_ == buffer_.size()) return false;
-  line.assign(buffer_, head_);
+  if (head_ == buffer_.size() && !discarding_) return false;
+  oversized_ = discarding_ || buffer_.size() - head_ > kMaxLineBytes;
+  discarding_ = false;
+  if (oversized_) {
+    line.clear();
+  } else {
+    line.assign(buffer_, head_);
+  }
   buffer_.clear();
   head_ = 0;
   return true;

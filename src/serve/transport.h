@@ -12,7 +12,14 @@
 
 namespace infoflow::serve {
 
-/// \brief Buffered line reader over a POSIX fd.
+/// Longest request line LineReader buffers (1 MiB, newline excluded). A
+/// longer line is discarded up to its newline and delivered as an empty
+/// line flagged by LineReader::oversized(), so a stream that never sends a
+/// newline cannot grow the buffer without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// \brief Buffered line reader over a POSIX fd. Buffers at most
+/// kMaxLineBytes of one unterminated line plus one read chunk.
 class LineReader {
  public:
   /// When `interrupt` is non-null, blocking reads poll in short slices and
@@ -26,6 +33,10 @@ class LineReader {
   /// Blocking: pops the next line (without '\n'); false at EOF. A final
   /// unterminated line is still delivered.
   bool NextLine(std::string& line);
+
+  /// True when the line just popped was longer than kMaxLineBytes: its
+  /// bytes were dropped and `line` is empty.
+  bool oversized() const { return oversized_; }
 
   /// Non-blocking: pops a line only if one is already buffered or the fd
   /// has readable data that completes one; false otherwise (never blocks
@@ -51,6 +62,9 @@ class LineReader {
   std::string buffer_;
   std::size_t head_ = 0;
   bool eof_ = false;
+  /// Dropping the bytes of an over-long line until its newline (or EOF).
+  bool discarding_ = false;
+  bool oversized_ = false;
 };
 
 /// Writes all of `data`, retrying partial writes; false on error.

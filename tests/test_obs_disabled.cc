@@ -49,10 +49,11 @@ TEST(ObsDisabled, HistogramsAreInert) {
 }
 
 TEST(ObsDisabled, StripReplayInstrumentsAreInert) {
-  // The lane-width instruments the strip workspaces and engines register
-  // (reach.strip_width gauge, per-width reach.batch_blocks.<W> counters,
-  // reach.strip_latency_us histogram) must compile down to the same inert
-  // stubs as every other metric.
+  // The lane-width instruments the strip workspaces, engines and bank
+  // register (reach.strip_width gauge, per-width reach.batch_blocks.<W>
+  // counters, reach.strip_latency_us histogram, serve.bank.plane_bytes.*
+  // gauges) must compile down to the same inert stubs as every other
+  // metric.
   Gauge& width = GetGauge("reach.strip_width");
   width.Set(512.0);
   EXPECT_EQ(width.Value(), 0.0);
@@ -65,6 +66,14 @@ TEST(ObsDisabled, StripReplayInstrumentsAreInert) {
   Histogram& latency = GetHistogram("reach.strip_latency_us", {1.0, 5.0});
   latency.Record(3.0);
   EXPECT_EQ(latency.Snapshot().total, 0u);
+  // The bank's per-layout footprint gauges (serve/sample_bank.cc).
+  for (const char* name :
+       {"serve.bank.plane_bytes.rows", "serve.bank.plane_bytes.64",
+        "serve.bank.plane_bytes.256", "serve.bank.plane_bytes.512"}) {
+    Gauge& bytes = GetGauge(name);
+    bytes.Set(4096.0);
+    EXPECT_EQ(bytes.Value(), 0.0) << name;
+  }
 }
 
 TEST(ObsDisabled, SnapshotIsEmptyButSerializes) {

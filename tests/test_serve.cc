@@ -575,6 +575,43 @@ TEST(SampleBank, EdgeMajorPlaneMatchesRowsIncludingRaggedTail) {
   }
 }
 
+TEST(SampleBank, OneWordStripPlaneIsTheEdgeMajorPlane) {
+  // AcquireStripPlane(1) hands out the plane built at fill time — the same
+  // words at the same addresses as BlockEdgeWords, no copy — with the
+  // block lane masks, on a ragged bank: 100 per chain × 3 chains = 300 rows
+  // → four full blocks and one of 44.
+  const PointIcm model = SmallRandomModel(61, 10, 24);
+  auto bank = SampleBank::Create(model, FastBank(300, 3), 19);
+  ASSERT_TRUE(bank.ok());
+  const auto generation = bank->Acquire();
+  ASSERT_EQ(generation->num_rows(), 300u);
+  ASSERT_EQ(generation->num_blocks(), 5u);
+  const auto plane = generation->AcquireStripPlane(1);
+  EXPECT_EQ(plane.get(), generation->AcquireStripPlane(1).get());
+  EXPECT_EQ(plane->width, 1u);
+  EXPECT_EQ(plane->num_edges, generation->num_edges());
+  ASSERT_EQ(plane->num_strips, generation->num_blocks());
+  for (std::size_t b = 0; b < generation->num_blocks(); ++b) {
+    EXPECT_EQ(plane->StripWords(b), generation->BlockEdgeWords(b))
+        << "block " << b;
+    EXPECT_EQ(plane->StripLaneMask(b)[0], generation->BlockLaneMask(b))
+        << "block " << b;
+  }
+  EXPECT_EQ(plane->StripLaneMask(4)[0], (std::uint64_t{1} << 44) - 1);
+  if constexpr (obs::MetricsEnabled()) {
+    const double words = static_cast<double>(
+        generation->num_blocks() * (generation->num_edges() + 1));
+    EXPECT_EQ(obs::GetGauge("serve.bank.plane_bytes.64").Value(), 8 * words);
+    EXPECT_EQ(obs::GetGauge("serve.bank.plane_bytes.rows").Value(),
+              8.0 * static_cast<double>(generation->num_rows() *
+                                        generation->words_per_row()));
+    const auto wide = generation->AcquireStripPlane(8);
+    EXPECT_EQ(obs::GetGauge("serve.bank.plane_bytes.512").Value(),
+              8.0 * static_cast<double>(wide->words.size() +
+                                        wide->lane_masks.size()));
+  }
+}
+
 TEST(SampleBank, RefreshAndRebuildUnderConcurrentEdgeMajorReaders) {
   // Generations are immutable after publish: readers holding a generation
   // scan its edge-major plane while the bank refreshes and rebuilds
@@ -1294,6 +1331,89 @@ TEST(LineReader, PipelinedAndSplitLinesComeOutInOrder) {
     EXPECT_FALSE(reader.NextLine(line));
     EXPECT_FALSE(reader.TryNextLine(line));
     close(fds[0]);
+  }
+}
+
+/// Lines up to kMaxLineBytes come through intact; a longer one — whether
+/// its newline arrives or the stream ends first — pops once as an empty,
+/// oversized() line.
+TEST(LineReader, OverlongLinesPopOnceAsOversized) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const std::string at_cap(kMaxLineBytes, 'a');
+  std::thread writer([&, fd = fds[1]] {
+    const std::string input = at_cap + "\n" +
+                              std::string(kMaxLineBytes + 1, 'b') + "\nok\n" +
+                              std::string(kMaxLineBytes + 70000, 'c');
+    EXPECT_TRUE(WriteAll(fd, input));
+    close(fd);
+  });
+  LineReader reader(fds[0]);
+  std::string line;
+  ASSERT_TRUE(reader.NextLine(line));
+  EXPECT_FALSE(reader.oversized());
+  EXPECT_EQ(line, at_cap);
+  ASSERT_TRUE(reader.NextLine(line));
+  EXPECT_TRUE(reader.oversized());
+  EXPECT_TRUE(line.empty());
+  ASSERT_TRUE(reader.NextLine(line));
+  EXPECT_FALSE(reader.oversized());
+  EXPECT_EQ(line, "ok");
+  ASSERT_TRUE(reader.NextLine(line));  // the unterminated tail at EOF
+  EXPECT_TRUE(reader.oversized());
+  EXPECT_TRUE(line.empty());
+  EXPECT_FALSE(reader.NextLine(line));
+  writer.join();
+  close(fds[0]);
+}
+
+/// A 2 MiB line with no newline in it, then a valid query: the long line
+/// is dropped with one invalid-argument error (id null) and the query after
+/// it is still answered.
+TEST(Server, OversizedLineGetsOneErrorAndServingContinues) {
+  const PointIcm model = SmallRandomModel(47, 10, 24);
+  Server server = MakeServer(model);
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(pipe(in_pipe), 0);
+  ASSERT_EQ(pipe(out_pipe), 0);
+  // The pipe holds far less than the long line, so a writer thread feeds
+  // it while ServeFd reads.
+  std::thread writer([fd = in_pipe[1]] {
+    const std::string input = std::string(2 << 20, 'x') + "\n" +
+                              R"({"id":"after","source":0,"sink":5})" + "\n";
+    EXPECT_TRUE(WriteAll(fd, input));
+    close(fd);
+  });
+  const std::uint64_t before =
+      obs::GetCounter("serve.protocol.oversized_lines_total").Value();
+  const Status status = server.ServeFd(in_pipe[0], out_pipe[1]);
+  writer.join();
+  ASSERT_TRUE(status.ok()) << status;
+  close(in_pipe[0]);
+  close(out_pipe[1]);
+  std::string output;
+  char chunk[4096];
+  ssize_t got;
+  while ((got = read(out_pipe[0], chunk, sizeof(chunk))) > 0) {
+    output.append(chunk, static_cast<std::size_t>(got));
+  }
+  close(out_pipe[0]);
+
+  const std::vector<std::string> lines = SplitLines(output);
+  ASSERT_EQ(lines.size(), 2u) << output;
+  auto error = ParseJson(lines[0]);
+  ASSERT_TRUE(error.ok());
+  EXPECT_FALSE(error->Find("ok")->AsBool());
+  EXPECT_TRUE(error->Find("id")->is_null());
+  EXPECT_EQ(error->Find("error")->Find("code")->AsString(), "invalid-argument");
+  auto answer = ParseJson(lines[1]);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_TRUE(answer->Find("ok")->AsBool());
+  EXPECT_EQ(answer->Find("id")->AsString(), "after");
+  if constexpr (obs::MetricsEnabled()) {
+    EXPECT_EQ(obs::GetCounter("serve.protocol.oversized_lines_total").Value(),
+              before + 1);
   }
 }
 

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/batch_reachability.h"
+#include "graph/bit_transpose.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/reachability.h"
@@ -16,8 +16,8 @@
 namespace infoflow {
 namespace {
 
-// Same fixture as the 64-lane and scalar suites: 0 -> 1 -> 2 -> 3 with a
-// 0 -> 3 shortcut and a cycle 3 -> 1.
+// Same fixture as the scalar suite (test_reachability.cc): 0 -> 1 -> 2 -> 3
+// with a 0 -> 3 shortcut and a cycle 3 -> 1.
 DirectedGraph Chain() {
   GraphBuilder b(4);
   b.AddEdge(0, 1).CheckOK();
@@ -73,22 +73,20 @@ SampledStrip RandomStrip(const DirectedGraph& g, Rng& rng, double density,
   return strip;
 }
 
+// Pins every word of `wide` against the scalar reference: each live lane
+// must match one scalar BFS over that sample, and dead lanes stay zero.
 template <unsigned W>
-void ExpectMatchesReferences(const DirectedGraph& g, const SampledStrip& strip,
-                             const std::vector<NodeId>& sources,
-                             const StripReachabilityWorkspace<W>& wide,
-                             const char* label) {
-  BatchReachabilityWorkspace batch(g);
+void ExpectMatchesScalar(const DirectedGraph& g, const SampledStrip& strip,
+                         const std::vector<NodeId>& sources,
+                         const StripReachabilityWorkspace<W>& wide,
+                         const char* label) {
   ReachabilityWorkspace scalar(g);
   for (unsigned w = 0; w < W; ++w) {
-    batch.Run(g, sources, strip.block_words[w].data(), strip.lane_mask[w]);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(wide.ReachedMask(v)[w], batch.ReachedMask(v))
+      ASSERT_EQ(wide.ReachedMask(v)[w] & ~strip.lane_mask[w], 0u)
           << label << " word " << w << " node " << v;
     }
-    // Spot-check a few lanes against the scalar reference too, so the wide
-    // path is pinned to both references, not just transitively.
-    for (std::size_t s = 0; s < 64; s += 13) {
+    for (std::size_t s = 0; s < 64; ++s) {
       if (((strip.lane_mask[w] >> s) & 1) == 0) continue;
       scalar.Run(g, sources, strip.active[w][s]);
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -96,6 +94,284 @@ void ExpectMatchesReferences(const DirectedGraph& g, const SampledStrip& strip,
                   scalar.IsReached(v) ? 1u : 0u)
             << label << " word " << w << " sample " << s << " node " << v;
       }
+    }
+  }
+}
+
+// W copies of a 64-lane mask, one per strip word.
+template <unsigned W>
+std::array<std::uint64_t, W> Lanes(std::uint64_t mask) {
+  std::array<std::uint64_t, W> lanes;
+  lanes.fill(mask);
+  return lanes;
+}
+
+template <unsigned W>
+void CheckRunUntilMatchesFullRunOnTarget(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 6; ++trial) {
+    const DirectedGraph g = UniformRandomGraph(30, 80, rng);
+    const SampledStrip strip = RandomStrip(g, rng, 0.2, W, 64 * W);
+    const NodeId target = static_cast<NodeId>((trial * 7 + 1) % 30);
+    StripReachabilityWorkspace<W> full(g);
+    StripReachabilityWorkspace<W> early(g);
+    full.Run(g, {0}, strip.strip_words.data(), strip.lane_mask.data());
+    std::array<std::uint64_t, W> hits = {};
+    early.RunUntil(g, {0}, strip.strip_words.data(), target,
+                   strip.lane_mask.data(), hits.data());
+    for (unsigned w = 0; w < W; ++w) {
+      EXPECT_EQ(hits[w], full.ReachedMask(target)[w])
+          << "trial " << trial << " word " << w;
+    }
+  }
+}
+
+template <unsigned W>
+void CheckRunUntilSaturatesWhenTargetIsSource() {
+  const DirectedGraph g = Chain();
+  std::vector<std::uint64_t> none(std::size_t{g.num_edges()} * W, 0);
+  StripReachabilityWorkspace<W> ws(g);
+  constexpr std::uint64_t kPattern[4] = {0x5555555555555555ULL, 0,
+                                         ~std::uint64_t{0}, 0x1};
+  std::array<std::uint64_t, W> lanes;
+  for (unsigned w = 0; w < W; ++w) lanes[w] = kPattern[w % 4];
+  std::array<std::uint64_t, W> hits = {};
+  ws.RunUntil(g, {2}, none.data(), 2, lanes.data(), hits.data());
+  for (unsigned w = 0; w < W; ++w) EXPECT_EQ(hits[w], lanes[w]);
+  // The skipped run must not leak worklist state into the next one.
+  std::vector<std::uint64_t> all(std::size_t{g.num_edges()} * W,
+                                 ~std::uint64_t{0});
+  const auto full_mask = Lanes<W>(~std::uint64_t{0});
+  ws.RunUntil(g, {0}, all.data(), 3, full_mask.data(), hits.data());
+  for (unsigned w = 0; w < W; ++w) EXPECT_EQ(hits[w], ~std::uint64_t{0});
+}
+
+template <unsigned W>
+void CheckNoStateLeaksBetweenReusedRuns() {
+  const DirectedGraph g = Chain();
+  std::vector<std::uint64_t> all(std::size_t{g.num_edges()} * W,
+                                 ~std::uint64_t{0});
+  std::vector<std::uint64_t> none(std::size_t{g.num_edges()} * W, 0);
+  const auto full_mask = Lanes<W>(~std::uint64_t{0});
+  StripReachabilityWorkspace<W> ws(g);
+  // Alternate saturating and empty runs on one workspace: the empty run
+  // must never see the previous run's masks (the workspace re-zeroes its
+  // touched set instead of stamping, so any missed node would leak a stale
+  // "reached in every sample" here).
+  for (int i = 0; i < 8; ++i) {
+    ws.Run(g, {0}, all.data(), full_mask.data());
+    for (unsigned w = 0; w < W; ++w) {
+      ASSERT_EQ(ws.ReachedMask(3)[w], ~std::uint64_t{0});
+    }
+    ASSERT_EQ(ws.TouchedNodes().size(), 4u);
+    ws.Run(g, {2}, none.data(), full_mask.data());
+    for (unsigned w = 0; w < W; ++w) {
+      EXPECT_EQ(ws.ReachedMask(2)[w], ~std::uint64_t{0});
+      EXPECT_EQ(ws.ReachedMask(3)[w], 0u);
+      EXPECT_EQ(ws.ReachedMask(0)[w], 0u);
+    }
+    ASSERT_EQ(ws.TouchedNodes().size(), 1u);
+    // Early-exit runs must also reset cleanly.
+    std::array<std::uint64_t, W> hits = {};
+    ws.RunUntil(g, {0}, all.data(), 0, full_mask.data(), hits.data());
+    EXPECT_EQ(ws.ReachedMask(0)[0], ~std::uint64_t{0});
+    ws.Run(g, {1}, none.data(), full_mask.data());
+    EXPECT_EQ(ws.ReachedMask(3)[0], 0u);
+  }
+}
+
+// Seeding in several rounds with a Propagate between each (the incremental
+// API seedmax/rr_index.cc builds its sketches with) must land on the same
+// fixpoint as one Run with all seeds, including when later seeds only add
+// lanes a node already partially holds.
+template <unsigned W>
+void CheckInterleavedSeedsReachTheJointFixpoint(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 6; ++trial) {
+    const DirectedGraph g = UniformRandomGraph(30, 90, rng);
+    const SampledStrip strip = RandomStrip(g, rng, 0.25, W, 64 * W);
+    const NodeId a = static_cast<NodeId>(trial % 30);
+    const NodeId b = static_cast<NodeId>((trial * 11 + 3) % 30);
+    StripReachabilityWorkspace<W> oneshot(g);
+    oneshot.Run(g, {a, b}, strip.strip_words.data(), strip.lane_mask.data());
+    StripReachabilityWorkspace<W> inc(g);
+    inc.Begin(g);
+    std::array<std::uint64_t, W> partial = {};
+    for (unsigned w = 0; w < W; w += 2) {
+      partial[w] = strip.lane_mask[w] & 0x00000000FFFFFFFFULL;
+    }
+    inc.Seed(a, partial.data());
+    inc.Propagate(strip.strip_words.data());
+    inc.Seed(b, strip.lane_mask.data());
+    inc.Propagate(strip.strip_words.data());
+    inc.Seed(a, strip.lane_mask.data());  // upgrade the first seed's lanes
+    inc.Propagate(strip.strip_words.data());
+    // Re-seeding lanes a node already holds is a no-op.
+    std::array<std::uint64_t, W> held = {};
+    held[0] = 0xFF & strip.lane_mask[0];
+    inc.Seed(b, held.data());
+    inc.Propagate(strip.strip_words.data());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (unsigned w = 0; w < W; ++w) {
+        ASSERT_EQ(inc.ReachedMask(v)[w], oneshot.ReachedMask(v)[w])
+            << "trial " << trial << " node " << v << " word " << w;
+      }
+    }
+    ASSERT_EQ(inc.TouchedNodes(), oneshot.TouchedNodes()) << "trial " << trial;
+  }
+}
+
+TEST(BitTranspose, MatchesNaiveTransposeOnRandomMatrices) {
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::uint64_t m[64];
+    std::uint64_t ref[64];
+    for (auto& w : m) w = rng.NextU64();
+    for (int i = 0; i < 64; ++i) ref[i] = m[i];
+    Transpose64x64(m);
+    for (int i = 0; i < 64; ++i) {
+      for (int j = 0; j < 64; ++j) {
+        ASSERT_EQ((m[j] >> i) & 1, (ref[i] >> j) & 1)
+            << "trial " << trial << " element (" << i << ", " << j << ")";
+      }
+    }
+    // Involution: transposing twice restores the input.
+    Transpose64x64(m);
+    for (int i = 0; i < 64; ++i) ASSERT_EQ(m[i], ref[i]);
+  }
+}
+
+// The BatchReachability cases pin the one-word (64-lane) strip, the width
+// every 64-lane replay in the library runs.
+
+TEST(BatchReachability, MatchesSixtyFourScalarRunsBitForBit) {
+  Rng rng(11);
+  for (int trial = 0; trial < 8; ++trial) {
+    const DirectedGraph g = UniformRandomGraph(30, 90, rng);
+    const SampledStrip strip = RandomStrip(g, rng, 0.25, 1, 64);
+    const std::vector<NodeId> sources{static_cast<NodeId>(trial % 30)};
+    StripReachabilityWorkspace<1> ws(g);
+    ws.Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
+    ExpectMatchesScalar(g, strip, sources, ws, "W=1");
+  }
+}
+
+TEST(BatchReachability, MultiSourceMatchesScalar) {
+  Rng rng(13);
+  const DirectedGraph g = UniformRandomGraph(25, 70, rng);
+  const SampledStrip strip = RandomStrip(g, rng, 0.3, 1, 64);
+  const std::vector<NodeId> sources{3, 17, 24};
+  StripReachabilityWorkspace<1> ws(g);
+  ws.Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
+  ExpectMatchesScalar(g, strip, sources, ws, "multi-source");
+}
+
+TEST(BatchReachability, LaneMaskConfinesPropagation) {
+  Rng rng(17);
+  const DirectedGraph g = UniformRandomGraph(20, 60, rng);
+  SampledStrip strip = RandomStrip(g, rng, 0.4, 1, 64);
+  strip.lane_mask[0] = 0x00FF00FF00FF00FFULL;
+  StripReachabilityWorkspace<1> ws(g);
+  ws.Run(g, {0}, strip.strip_words.data(), strip.lane_mask.data());
+  // Dead lanes stay dead everywhere; live ones match the scalar runs.
+  ExpectMatchesScalar(g, strip, {0}, ws, "lane mask");
+}
+
+TEST(BatchReachability, RunUntilMatchesFullRunOnTarget) {
+  CheckRunUntilMatchesFullRunOnTarget<1>(19);
+}
+
+TEST(BatchReachability, RunUntilSaturatesImmediatelyWhenTargetIsSource) {
+  CheckRunUntilSaturatesWhenTargetIsSource<1>();
+}
+
+TEST(BatchReachability, NoStateLeaksBetweenReusedRuns) {
+  CheckNoStateLeaksBetweenReusedRuns<1>();
+}
+
+TEST(BatchReachability, IncrementalMatchesOneShotRun) {
+  Rng rng(31);
+  for (int trial = 0; trial < 8; ++trial) {
+    const DirectedGraph g = UniformRandomGraph(30, 90, rng);
+    const SampledStrip strip = RandomStrip(g, rng, 0.25, 1, 64);
+    const std::vector<NodeId> sources{static_cast<NodeId>(trial % 30),
+                                      static_cast<NodeId>((trial * 7) % 30)};
+    StripReachabilityWorkspace<1> oneshot(g);
+    oneshot.Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
+    StripReachabilityWorkspace<1> inc(g);
+    inc.Begin(g);
+    for (const NodeId s : sources) inc.Seed(s, strip.lane_mask.data());
+    inc.Propagate(strip.strip_words.data());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(inc.ReachedMask(v)[0], oneshot.ReachedMask(v)[0])
+          << "trial " << trial << " node " << v;
+    }
+    ASSERT_EQ(inc.TouchedNodes(), oneshot.TouchedNodes()) << "trial " << trial;
+  }
+}
+
+TEST(BatchReachability, InterleavedSeedsReachTheJointFixpoint) {
+  CheckInterleavedSeedsReachTheJointFixpoint<1>(37);
+}
+
+TEST(BatchReachability, BeginResetsAnAbandonedSeedSequence) {
+  const DirectedGraph g = Chain();
+  std::vector<std::uint64_t> none(g.num_edges(), 0);
+  const std::uint64_t all_lanes = ~std::uint64_t{0};
+  const std::uint64_t lane0 = 0b1;
+  StripReachabilityWorkspace<1> ws(g);
+  // Seed without propagating, then start over: the abandoned seeds must not
+  // leak into the next run's masks or frontier.
+  ws.Begin(g);
+  ws.Seed(0, &all_lanes);
+  ws.Seed(3, &all_lanes);
+  ws.Propagate(none.data());
+  ws.Begin(g);
+  ws.Seed(2, &lane0);
+  ws.Propagate(none.data());
+  EXPECT_EQ(ws.ReachedMask(0)[0], 0u);
+  EXPECT_EQ(ws.ReachedMask(3)[0], 0u);
+  EXPECT_EQ(ws.ReachedMask(2)[0], 0b1u);
+  ASSERT_EQ(ws.TouchedNodes().size(), 1u);
+  // A normal Run after incremental use starts clean too.
+  std::vector<std::uint64_t> all(g.num_edges(), ~std::uint64_t{0});
+  ws.Run(g, {1}, all.data(), &all_lanes);
+  EXPECT_EQ(ws.ReachedMask(3)[0], ~std::uint64_t{0});
+  EXPECT_EQ(ws.ReachedMask(0)[0], 0u);
+}
+
+TEST(BatchReachability, AccumulateReachedCountsTalliesSpreadPerLane) {
+  const DirectedGraph g = Chain();
+  // Lane 0: no edges. Lane 1: 0->1 only. Lane 2: 0->1, 1->2, 2->3.
+  std::vector<std::uint64_t> words(g.num_edges(), 0);
+  words[g.FindEdge(0, 1)] = 0b110;
+  words[g.FindEdge(1, 2)] = 0b100;
+  words[g.FindEdge(2, 3)] = 0b100;
+  const std::uint64_t lanes = 0b111;
+  StripReachabilityWorkspace<1> ws(g);
+  ws.Run(g, {0}, words.data(), &lanes);
+  std::uint32_t counts[64] = {};
+  ws.AccumulateReachedCounts(counts);
+  EXPECT_EQ(counts[0], 1u);  // source only
+  EXPECT_EQ(counts[1], 2u);  // {0, 1}
+  EXPECT_EQ(counts[2], 4u);  // {0, 1, 2, 3}
+  EXPECT_EQ(counts[3], 0u);  // dead lane
+}
+
+TEST(BatchReachability, TouchedNodesCoverExactlyTheReachedSet) {
+  Rng rng(23);
+  const DirectedGraph g = UniformRandomGraph(40, 100, rng);
+  const SampledStrip strip = RandomStrip(g, rng, 0.15, 1, 64);
+  StripReachabilityWorkspace<1> ws(g);
+  ws.Run(g, {5}, strip.strip_words.data(), strip.lane_mask.data());
+  std::vector<bool> touched(g.num_nodes(), false);
+  for (NodeId v : ws.TouchedNodes()) {
+    EXPECT_NE(ws.ReachedMask(v)[0], 0u);
+    touched[v] = true;
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!touched[v]) {
+      EXPECT_EQ(ws.ReachedMask(v)[0], 0u);
     }
   }
 }
@@ -114,8 +390,6 @@ TEST(StripPlane, InterleavesBlockPlanesWithRaggedTail) {
       [&](std::size_t b) { return blocks[b].data(); },
       [&](std::size_t b) { return b == 4 ? 0xFFu : ~std::uint64_t{0}; });
   ASSERT_EQ(plane.num_strips, 2u);
-  EXPECT_EQ(plane.StripBlocks(0), 4u);
-  EXPECT_EQ(plane.StripBlocks(1), 1u);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const std::size_t s = b / 4;
     const unsigned w = static_cast<unsigned>(b % 4);
@@ -135,21 +409,50 @@ TEST(StripPlane, InterleavesBlockPlanesWithRaggedTail) {
   }
 }
 
-TEST(StripReachability, WidthOneMatchesTheBatchReferenceBitForBit) {
+TEST(StripReachability, WidthOneMatchesTheScalarReferenceBitForBit) {
+  // The one-word strip as the serve engine runs it: built by the factory
+  // and driven through the runtime-width interface. Its touched set must
+  // be exactly the nodes some scalar run reaches.
   Rng rng(43);
   for (int trial = 0; trial < 8; ++trial) {
     const DirectedGraph g = UniformRandomGraph(30, 90, rng);
     const SampledStrip strip = RandomStrip(g, rng, 0.25, 1, 64);
     const std::vector<NodeId> sources{static_cast<NodeId>(trial % 30)};
-    StripReachabilityWorkspace<1> wide(g);
-    wide.Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
-    BatchReachabilityWorkspace batch(g);
-    batch.Run(g, sources, strip.block_words[0].data());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(wide.ReachedMask(v)[0], batch.ReachedMask(v))
-          << "trial " << trial << " node " << v;
+    const auto ws = StripWorkspace::Create(1, g);
+    ws->Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
+    ReachabilityWorkspace scalar(g);
+    std::vector<NodeId> reached_somewhere;
+    std::vector<bool> any(g.num_nodes(), false);
+    for (std::size_t s = 0; s < 64; ++s) {
+      scalar.Run(g, sources, strip.active[0][s]);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ((ws->ReachedMask(v)[0] >> s) & 1,
+                  scalar.IsReached(v) ? 1u : 0u)
+            << "trial " << trial << " sample " << s << " node " << v;
+        if (scalar.IsReached(v)) any[v] = true;
+      }
     }
-    ASSERT_EQ(wide.TouchedNodes(), batch.TouchedNodes()) << "trial " << trial;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (any[v]) reached_somewhere.push_back(v);
+    }
+    ASSERT_EQ(ws->TouchedNodes(), reached_somewhere) << "trial " << trial;
+  }
+}
+
+// Each word of a wide strip must equal a one-word (64-lane) run over that
+// word's block alone.
+template <unsigned W>
+void ExpectWordsMatchOneWordRuns(const DirectedGraph& g,
+                                 const SampledStrip& strip,
+                                 const std::vector<NodeId>& sources,
+                                 const StripReachabilityWorkspace<W>& wide) {
+  StripReachabilityWorkspace<1> narrow(g);
+  for (unsigned w = 0; w < W; ++w) {
+    narrow.Run(g, sources, strip.block_words[w].data(), &strip.lane_mask[w]);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(wide.ReachedMask(v)[w], narrow.ReachedMask(v)[0])
+          << "W=" << W << " word " << w << " node " << v;
+    }
   }
 }
 
@@ -163,13 +466,15 @@ TEST(StripReachability, WideStripsMatchSixtyFourLaneAndScalarReferences) {
       const SampledStrip strip = RandomStrip(g, rng, 0.25, 4, 256);
       StripReachabilityWorkspace<4> wide(g);
       wide.Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
-      ExpectMatchesReferences(g, strip, sources, wide, "W=4");
+      ExpectMatchesScalar(g, strip, sources, wide, "W=4");
+      ExpectWordsMatchOneWordRuns(g, strip, sources, wide);
     }
     {
       const SampledStrip strip = RandomStrip(g, rng, 0.25, 8, 512);
       StripReachabilityWorkspace<8> wide(g);
       wide.Run(g, sources, strip.strip_words.data(), strip.lane_mask.data());
-      ExpectMatchesReferences(g, strip, sources, wide, "W=8");
+      ExpectMatchesScalar(g, strip, sources, wide, "W=8");
+      ExpectWordsMatchOneWordRuns(g, strip, sources, wide);
     }
   }
 }
@@ -183,13 +488,7 @@ TEST(StripReachability, RaggedTailRowsStayConfinedToTheirLaneMask) {
     const SampledStrip strip = RandomStrip(g, rng, 0.3, 8, rows);
     StripReachabilityWorkspace<8> wide(g);
     wide.Run(g, {0}, strip.strip_words.data(), strip.lane_mask.data());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      for (unsigned w = 0; w < 8; ++w) {
-        ASSERT_EQ(wide.ReachedMask(v)[w] & ~strip.lane_mask[w], 0u)
-            << "rows " << rows << " node " << v << " word " << w;
-      }
-    }
-    ExpectMatchesReferences(g, strip, {0}, wide, "ragged");
+    ExpectMatchesScalar(g, strip, {0}, wide, "ragged");
   }
 }
 
@@ -203,7 +502,7 @@ TEST(StripReachability, ConditionalSurvivorMasksMatchAcrossWidths) {
     for (unsigned w = 0; w < 4; ++w) strip.lane_mask[w] = rng.NextU64();
     StripReachabilityWorkspace<4> wide(g);
     wide.Run(g, {1}, strip.strip_words.data(), strip.lane_mask.data());
-    ExpectMatchesReferences(g, strip, {1}, wide, "survivors");
+    ExpectMatchesScalar(g, strip, {1}, wide, "survivors");
   }
 }
 
@@ -237,100 +536,19 @@ TEST(StripReachability, PullAndPushSchedulesAgreeBitForBit) {
 }
 
 TEST(StripReachability, IncrementalSeedPropagateMatchesOneShot) {
-  Rng rng(67);
-  for (int trial = 0; trial < 6; ++trial) {
-    const DirectedGraph g = UniformRandomGraph(30, 90, rng);
-    const SampledStrip strip = RandomStrip(g, rng, 0.25, 4, 256);
-    const NodeId a = static_cast<NodeId>(trial % 30);
-    const NodeId b = static_cast<NodeId>((trial * 11 + 3) % 30);
-    StripReachabilityWorkspace<4> oneshot(g);
-    oneshot.Run(g, {a, b}, strip.strip_words.data(), strip.lane_mask.data());
-    // The incremental API seedmax/rr_index.cc uses, staged across several
-    // Propagate rounds: later seeds upgrade lanes a node already holds.
-    StripReachabilityWorkspace<4> inc(g);
-    inc.Begin(g);
-    std::array<std::uint64_t, 4> partial = {strip.lane_mask[0], 0, 0,
-                                            strip.lane_mask[3]};
-    inc.Seed(a, partial.data());
-    inc.Propagate(strip.strip_words.data());
-    inc.Seed(b, strip.lane_mask.data());
-    inc.Propagate(strip.strip_words.data());
-    inc.Seed(a, strip.lane_mask.data());  // upgrade the first seed's lanes
-    inc.Propagate(strip.strip_words.data());
-    // Re-seeding lanes a node already holds is a no-op.
-    std::array<std::uint64_t, 4> held = {0xFF, 0, 0, 0};
-    held[0] &= strip.lane_mask[0];
-    inc.Seed(b, held.data());
-    inc.Propagate(strip.strip_words.data());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      for (unsigned w = 0; w < 4; ++w) {
-        ASSERT_EQ(inc.ReachedMask(v)[w], oneshot.ReachedMask(v)[w])
-            << "trial " << trial << " node " << v << " word " << w;
-      }
-    }
-    ASSERT_EQ(inc.TouchedNodes(), oneshot.TouchedNodes()) << "trial " << trial;
-  }
+  CheckInterleavedSeedsReachTheJointFixpoint<4>(67);
 }
 
 TEST(StripReachability, RunUntilMatchesFullRunOnTarget) {
-  Rng rng(71);
-  for (int trial = 0; trial < 6; ++trial) {
-    const DirectedGraph g = UniformRandomGraph(30, 80, rng);
-    const SampledStrip strip = RandomStrip(g, rng, 0.2, 8, 512);
-    const NodeId target = static_cast<NodeId>((trial * 7 + 1) % 30);
-    StripReachabilityWorkspace<8> full(g);
-    StripReachabilityWorkspace<8> early(g);
-    full.Run(g, {0}, strip.strip_words.data(), strip.lane_mask.data());
-    std::array<std::uint64_t, 8> hits = {};
-    early.RunUntil(g, {0}, strip.strip_words.data(), target,
-                   strip.lane_mask.data(), hits.data());
-    for (unsigned w = 0; w < 8; ++w) {
-      EXPECT_EQ(hits[w], full.ReachedMask(target)[w])
-          << "trial " << trial << " word " << w;
-    }
-  }
+  CheckRunUntilMatchesFullRunOnTarget<8>(71);
 }
 
 TEST(StripReachability, RunUntilSaturatesImmediatelyWhenTargetIsSource) {
-  const DirectedGraph g = Chain();
-  std::vector<std::uint64_t> none(std::size_t{g.num_edges()} * 4, 0);
-  StripReachabilityWorkspace<4> ws(g);
-  std::array<std::uint64_t, 4> lanes = {0x5555555555555555ULL, 0,
-                                        ~std::uint64_t{0}, 0x1};
-  std::array<std::uint64_t, 4> hits = {};
-  ws.RunUntil(g, {2}, none.data(), 2, lanes.data(), hits.data());
-  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(hits[w], lanes[w]);
-  // The skipped run must not leak worklist state into the next one.
-  std::vector<std::uint64_t> all(std::size_t{g.num_edges()} * 4,
-                                 ~std::uint64_t{0});
-  std::array<std::uint64_t, 4> full_mask;
-  full_mask.fill(~std::uint64_t{0});
-  ws.RunUntil(g, {0}, all.data(), 3, full_mask.data(), hits.data());
-  for (unsigned w = 0; w < 4; ++w) EXPECT_EQ(hits[w], ~std::uint64_t{0});
+  CheckRunUntilSaturatesWhenTargetIsSource<4>();
 }
 
 TEST(StripReachability, NoStateLeaksBetweenReusedRuns) {
-  const DirectedGraph g = Chain();
-  std::vector<std::uint64_t> all(std::size_t{g.num_edges()} * 8,
-                                 ~std::uint64_t{0});
-  std::vector<std::uint64_t> none(std::size_t{g.num_edges()} * 8, 0);
-  std::array<std::uint64_t, 8> full_mask;
-  full_mask.fill(~std::uint64_t{0});
-  StripReachabilityWorkspace<8> ws(g);
-  for (int i = 0; i < 8; ++i) {
-    ws.Run(g, {0}, all.data(), full_mask.data());
-    for (unsigned w = 0; w < 8; ++w) {
-      ASSERT_EQ(ws.ReachedMask(3)[w], ~std::uint64_t{0});
-    }
-    ASSERT_EQ(ws.TouchedNodes().size(), 4u);
-    ws.Run(g, {2}, none.data(), full_mask.data());
-    for (unsigned w = 0; w < 8; ++w) {
-      EXPECT_EQ(ws.ReachedMask(2)[w], ~std::uint64_t{0});
-      EXPECT_EQ(ws.ReachedMask(3)[w], 0u);
-      EXPECT_EQ(ws.ReachedMask(0)[w], 0u);
-    }
-    ASSERT_EQ(ws.TouchedNodes().size(), 1u);
-  }
+  CheckNoStateLeaksBetweenReusedRuns<8>();
 }
 
 TEST(StripReachability, AccumulateReachedCountsSpansAllWords) {
