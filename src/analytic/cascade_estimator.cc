@@ -9,56 +9,10 @@
 namespace infoflow::analytic {
 namespace {
 
-/// \brief The query's reachable subgraph, explored once per call: BFS
-/// discovery order (sources first), the spanning discovery edge per node,
-/// and the relevant edge list (see feasibility.h for "relevant").
-struct Subgraph {
-  std::vector<NodeId> order;
-  std::vector<bool> reachable;
-  std::vector<bool> is_source;
-  std::size_t num_sources = 0;
-  std::vector<EdgeId> relevant;
-  /// discovery[v] = the edge that first reached v (kInvalidEdge for
-  /// sources and unreachable nodes). In the tree-exact regime this is v's
-  /// *only* reachable in-edge; in the loopy regime it spans the
-  /// marginal-matched tree.
-  std::vector<EdgeId> discovery;
-};
-
-Subgraph Explore(const DirectedGraph& graph,
-                 std::span<const NodeId> sources) {
-  const NodeId n = graph.num_nodes();
-  Subgraph sub;
-  sub.reachable.assign(n, false);
-  sub.is_source.assign(n, false);
-  sub.discovery.assign(n, kInvalidEdge);
-  for (const NodeId s : sources) {
-    if (sub.is_source[s]) continue;
-    sub.is_source[s] = true;
-    sub.reachable[s] = true;
-    sub.order.push_back(s);
-    ++sub.num_sources;
-  }
-  // True BFS (index queue) so discovery edges form a breadth-first
-  // spanning forest — deterministic regardless of regime.
-  for (std::size_t head = 0; head < sub.order.size(); ++head) {
-    const NodeId u = sub.order[head];
-    for (const EdgeId e : graph.OutEdges(u)) {
-      const NodeId v = graph.edge(e).dst;
-      if (!sub.is_source[v]) sub.relevant.push_back(e);
-      if (!sub.reachable[v]) {
-        sub.reachable[v] = true;
-        sub.discovery[v] = e;
-        sub.order.push_back(v);
-      }
-    }
-  }
-  return sub;
-}
-
 Status ValidateInputs(const DirectedGraph& graph,
                       std::span<const double> probs,
-                      std::span<const NodeId> sources) {
+                      std::span<const NodeId> sources,
+                      std::span<const NodeId> sinks) {
   if (probs.size() != graph.num_edges()) {
     return Status::InvalidArgument("edge-probability span has ", probs.size(),
                                    " entries but the graph has ",
@@ -70,6 +24,12 @@ Status ValidateInputs(const DirectedGraph& graph,
   for (const NodeId s : sources) {
     if (s >= graph.num_nodes()) {
       return Status::OutOfRange("source node ", s, " not in graph with ",
+                                graph.num_nodes(), " nodes");
+    }
+  }
+  for (const NodeId t : sinks) {
+    if (t >= graph.num_nodes()) {
+      return Status::OutOfRange("sink node ", t, " not in graph with ",
                                 graph.num_nodes(), " nodes");
     }
   }
@@ -96,69 +56,65 @@ Result<AnalyticMethod> PickMethod(const FeasibilityReport& report,
       "; answer this query with the sampling/bank backend (Eq. 5 replay)");
 }
 
-/// \brief Loopy activation marginals: monotone Gauss–Seidel sweeps of
+/// \brief Loopy activation marginals into a freshly explored workspace's
+/// values: monotone Gauss–Seidel sweeps of
 /// a(v) = 1 − Π_{(u,v) relevant} (1 − a(u)·p_uv) in BFS order. Exact on
 /// forests (one sweep suffices); the independence approximation otherwise.
-std::vector<double> LoopyMarginals(const DirectedGraph& graph,
-                                   std::span<const double> probs,
-                                   const Subgraph& sub,
-                                   const AnalyticOptions& options) {
-  std::vector<double> a(graph.num_nodes(), 0.0);
-  for (const NodeId v : sub.order) {
-    if (sub.is_source[v]) a[v] = 1.0;
+void LoopyMarginals(const DirectedGraph& graph, std::span<const double> probs,
+                    AnalyticWorkspace& ws, const AnalyticOptions& options) {
+  for (std::size_t i = 0; i < ws.num_sources(); ++i) {
+    ws.value(ws.order()[i]) = 1.0;
   }
   for (std::size_t sweep = 0; sweep < options.max_loopy_sweeps; ++sweep) {
     double delta = 0.0;
-    for (const NodeId v : sub.order) {
-      if (sub.is_source[v]) continue;
+    for (const NodeId v : ws.order()) {
+      if (ws.is_source(v)) continue;
       double miss = 1.0;
       for (const EdgeId e : graph.InEdges(v)) {
         const NodeId u = graph.edge(e).src;
-        if (sub.reachable[u]) miss *= 1.0 - a[u] * probs[e];
+        if (ws.reached(u)) miss *= 1.0 - ws.value(u) * probs[e];
       }
       const double next = 1.0 - miss;
-      delta = std::max(delta, next - a[v]);
-      a[v] = next;
+      delta = std::max(delta, next - ws.value(v));
+      ws.value(v) = next;
     }
     if (delta <= options.loopy_tolerance) break;
   }
-  return a;
 }
 
 /// \brief Runs `fn(weight, reached, activated_count)` for every assignment
 /// of the relevant edges — Eq. 5 evaluated exactly over the subgraph.
-/// `reached` is indexed by position in sub.order; count includes sources.
+/// `reached` is indexed by position in ws.order(); count includes sources.
 template <typename Fn>
 void EnumerateSubworlds(const DirectedGraph& graph,
-                        std::span<const double> probs, const Subgraph& sub,
-                        Fn&& fn) {
-  const std::size_t m = sub.relevant.size();
+                        std::span<const double> probs,
+                        const AnalyticWorkspace& ws, Fn&& fn) {
+  const std::vector<EdgeId>& relevant = ws.relevant();
+  const std::size_t m = relevant.size();
   IF_CHECK(m < 63) << "enumeration regime over " << m << " edges";
-  const std::size_t n_local = sub.order.size();
-  std::vector<std::size_t> local(graph.num_nodes(), 0);
-  for (std::size_t i = 0; i < n_local; ++i) local[sub.order[i]] = i;
+  const std::size_t n_local = ws.order().size();
   // Local adjacency: (src-local → (dst-local, relevant-edge index)).
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj(n_local);
   for (std::size_t i = 0; i < m; ++i) {
-    const Edge& edge = graph.edge(sub.relevant[i]);
-    adj[local[edge.src]].push_back({local[edge.dst], i});
+    const Edge& edge = graph.edge(relevant[i]);
+    adj[ws.local(edge.src)].push_back({ws.local(edge.dst), i});
   }
   std::vector<char> reached(n_local, 0);
   std::vector<std::size_t> stack;
   for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << m); ++mask) {
     double weight = 1.0;
     for (std::size_t i = 0; i < m; ++i) {
-      const double p = probs[sub.relevant[i]];
+      const double p = probs[relevant[i]];
       weight *= ((mask >> i) & 1) != 0 ? p : 1.0 - p;
     }
     if (weight == 0.0) continue;
     std::fill(reached.begin(), reached.end(), 0);
     stack.clear();
-    for (std::size_t i = 0; i < sub.num_sources; ++i) {
-      reached[i] = 1;  // sources lead sub.order
+    for (std::size_t i = 0; i < ws.num_sources(); ++i) {
+      reached[i] = 1;  // sources lead ws.order()
       stack.push_back(i);
     }
-    std::size_t count = sub.num_sources;
+    std::size_t count = ws.num_sources();
     while (!stack.empty()) {
       const std::size_t u = stack.back();
       stack.pop_back();
@@ -180,20 +136,19 @@ void EnumerateSubworlds(const DirectedGraph& graph,
 /// regime, the marginal-matched approximation on the loopy one). Returns
 /// the root's size PMF (index = activated node count including the root).
 template <typename WeightFn>
-std::vector<double> SubtreePmf(const DirectedGraph& graph, const Subgraph& sub,
-                               NodeId root, WeightFn&& weight) {
-  const std::size_t n_local = sub.order.size();
-  std::vector<std::size_t> local(graph.num_nodes(), 0);
-  for (std::size_t i = 0; i < n_local; ++i) local[sub.order[i]] = i;
-  // pmf[i][k] = Pr[node sub.order[i]'s subtree activates exactly k nodes |
+std::vector<double> SubtreePmf(const DirectedGraph& graph,
+                               const AnalyticWorkspace& ws, NodeId root,
+                               WeightFn&& weight) {
+  const std::size_t n_local = ws.order().size();
+  // pmf[i][k] = Pr[node ws.order()[i]'s subtree activates exactly k nodes |
   // the node itself is active]; initialized to "the node alone".
   std::vector<std::vector<double>> pmf(n_local, std::vector<double>{0.0, 1.0});
   // Reverse BFS order processes every child before its parent; folding a
   // child releases its PMF, so peak memory tracks the live path, not the
   // whole tree.
   for (std::size_t i = n_local; i-- > 1;) {
-    const NodeId v = sub.order[i];
-    const std::size_t pi = local[graph.edge(sub.discovery[v]).src];
+    const NodeId v = ws.order()[i];
+    const std::size_t pi = ws.local(graph.edge(ws.discovery(v)).src);
     const double w = weight(v);
     std::vector<double>& child = pmf[i];
     std::vector<double>& conv = pmf[pi];
@@ -209,7 +164,7 @@ std::vector<double> SubtreePmf(const DirectedGraph& graph, const Subgraph& sub,
     conv = std::move(merged);
     std::vector<double>().swap(child);
   }
-  return std::move(pmf[local[root]]);
+  return std::move(pmf[ws.local(root)]);
 }
 
 }  // namespace
@@ -237,95 +192,97 @@ double CascadePmf::Mean() const {
 Result<ReachAnswer> ReachProbabilities(const DirectedGraph& graph,
                                        std::span<const double> probs,
                                        std::span<const NodeId> sources,
+                                       std::span<const NodeId> sinks,
+                                       AnalyticWorkspace& workspace,
                                        const AnalyticOptions& options) {
-  IF_RETURN_NOT_OK(ValidateInputs(graph, probs, sources));
+  IF_RETURN_NOT_OK(ValidateInputs(graph, probs, sources, sinks));
+  workspace.Explore(graph, sources);
   ReachAnswer answer;
-  answer.report = AssessFeasibility(graph, sources, options.feasibility);
+  answer.report = workspace.Report(options.feasibility);
   auto method = PickMethod(answer.report, options);
   IF_RETURN_NOT_OK(method.status());
   answer.method = *method;
-
-  const Subgraph sub = Explore(graph, sources);
-  answer.probability.assign(graph.num_nodes(), 0.0);
-  for (const NodeId v : sub.order) {
-    if (sub.is_source[v]) answer.probability[v] = 1.0;
-  }
 
   switch (answer.method) {
     case AnalyticMethod::kTreeExact:
       // Unique source→v paths: the probability telescopes down the
       // discovery forest (parents precede children in BFS order).
-      for (const NodeId v : sub.order) {
-        if (sub.is_source[v]) continue;
-        const EdgeId e = sub.discovery[v];
-        answer.probability[v] =
-            answer.probability[graph.edge(e).src] * probs[e];
+      for (const NodeId v : workspace.order()) {
+        if (workspace.is_source(v)) {
+          workspace.value(v) = 1.0;
+          continue;
+        }
+        const EdgeId e = workspace.discovery(v);
+        workspace.value(v) = workspace.value(graph.edge(e).src) * probs[e];
       }
       break;
-    case AnalyticMethod::kEnumeration: {
-      std::vector<double> acc(sub.order.size(), 0.0);
+    case AnalyticMethod::kEnumeration:
       EnumerateSubworlds(
-          graph, probs, sub,
+          graph, probs, workspace,
           [&](double weight, const std::vector<char>& reached,
               std::size_t /*count*/) {
             for (std::size_t i = 0; i < reached.size(); ++i) {
-              if (reached[i] != 0) acc[i] += weight;
+              if (reached[i] != 0) {
+                workspace.value(workspace.order()[i]) += weight;
+              }
             }
           });
-      for (std::size_t i = 0; i < sub.order.size(); ++i) {
-        answer.probability[sub.order[i]] = acc[i];
-      }
       break;
-    }
     case AnalyticMethod::kLoopy:
-      answer.probability = LoopyMarginals(graph, probs, sub, options);
+      LoopyMarginals(graph, probs, workspace, options);
       break;
+  }
+  answer.probability.reserve(sinks.size());
+  for (const NodeId t : sinks) {
+    answer.probability.push_back(workspace.reached(t) ? workspace.value(t)
+                                                      : 0.0);
   }
   return answer;
 }
 
 Result<CascadePmf> CascadeSizePmf(const DirectedGraph& graph,
                                   std::span<const double> probs,
-                                  NodeId source,
+                                  NodeId source, AnalyticWorkspace& workspace,
                                   const AnalyticOptions& options) {
   const NodeId sources[1] = {source};
-  IF_RETURN_NOT_OK(ValidateInputs(graph, probs, sources));
+  IF_RETURN_NOT_OK(ValidateInputs(graph, probs, sources, {}));
+  workspace.Explore(graph, sources);
   CascadePmf out;
-  out.report = AssessFeasibility(graph, sources, options.feasibility);
+  out.report = workspace.Report(options.feasibility);
   auto method = PickMethod(out.report, options);
   IF_RETURN_NOT_OK(method.status());
   out.method = *method;
 
-  const Subgraph sub = Explore(graph, {sources, 1});
   std::vector<double> size_pmf;  // index = activated count incl. source
   switch (out.method) {
     case AnalyticMethod::kTreeExact:
       // Every relevant edge is a discovery edge (unique in-edges), so the
       // subtree convolution over the discovery tree is exact.
-      size_pmf = SubtreePmf(graph, sub, source, [&](NodeId v) {
-        return probs[sub.discovery[v]];
+      size_pmf = SubtreePmf(graph, workspace, source, [&](NodeId v) {
+        return probs[workspace.discovery(v)];
       });
       break;
     case AnalyticMethod::kEnumeration: {
-      std::vector<double> acc(sub.order.size() + 1, 0.0);
-      EnumerateSubworlds(graph, probs, sub,
+      std::vector<double> acc(workspace.order().size() + 1, 0.0);
+      EnumerateSubworlds(graph, probs, workspace,
                          [&](double weight, const std::vector<char>&,
                              std::size_t count) { acc[count] += weight; });
       size_pmf = std::move(acc);
       break;
     }
-    case AnalyticMethod::kLoopy: {
+    case AnalyticMethod::kLoopy:
       // Marginal-matched spanning tree: choosing the tree-edge weight
       // a(v)/a(parent) makes every node's tree marginal telescope to its
       // loopy fixpoint marginal, so the PMF mean equals Σ a(v); the shape
       // assumes tree dependence (see report.expected_error).
-      const std::vector<double> a = LoopyMarginals(graph, probs, sub, options);
-      size_pmf = SubtreePmf(graph, sub, source, [&](NodeId v) {
-        const double parent = a[graph.edge(sub.discovery[v]).src];
-        return parent > 0.0 ? std::min(1.0, a[v] / parent) : 0.0;
+      LoopyMarginals(graph, probs, workspace, options);
+      size_pmf = SubtreePmf(graph, workspace, source, [&](NodeId v) {
+        const double parent =
+            workspace.value(graph.edge(workspace.discovery(v)).src);
+        return parent > 0.0 ? std::min(1.0, workspace.value(v) / parent)
+                            : 0.0;
       });
       break;
-    }
   }
 
   // Impact excludes the always-active source: shift by one.

@@ -12,6 +12,11 @@
 /// "edge did not fire"). Minutes of Monte-Carlo become one BFS plus
 /// O(subtree²) convolutions.
 ///
+/// Every call explores through a caller-owned AnalyticWorkspace
+/// (analytic/feasibility.h): the one BFS both scores feasibility and feeds
+/// the estimator, and nothing of size n is allocated or filled, so a query
+/// costs O(reachable subgraph + sinks).
+///
 /// Three regimes, chosen per call from the structural feasibility report
 /// (analytic/feasibility.h):
 ///  - **tree-exact** — the reachable subgraph is a forest rooted at the
@@ -74,21 +79,24 @@ struct AnalyticOptions {
   bool require_exact = false;
 };
 
-/// \brief Per-node activation probabilities for a cascade from `sources`.
+/// \brief Activation probabilities of the requested sinks for a cascade
+/// from `sources`.
 struct ReachAnswer {
-  /// probability[v] = Pr[v is activated]; sources are 1, unreachable 0.
+  /// probability[i] = Pr[sinks[i] is activated]; unreachable sinks are 0.
   std::vector<double> probability;
   AnalyticMethod method = AnalyticMethod::kTreeExact;
   FeasibilityReport report;
 };
 
-/// \brief Pr[source-set ⤳ v] for every node v — the analytic form of the
-/// flow/community query (Eq. 5 without sampling). Fails with
+/// \brief Pr[source-set ⤳ sink] for every listed sink — the analytic form
+/// of the flow/community query (Eq. 5 without sampling). Fails with
 /// InvalidArgument/OutOfRange on malformed input and FailedPrecondition
 /// (descriptive) when the subgraph is denser than the options allow.
 Result<ReachAnswer> ReachProbabilities(const DirectedGraph& graph,
                                        std::span<const double> probs,
                                        std::span<const NodeId> sources,
+                                       std::span<const NodeId> sinks,
+                                       AnalyticWorkspace& workspace,
                                        const AnalyticOptions& options = {});
 
 /// \brief The cascade-size distribution of a single-source cascade.
@@ -108,7 +116,7 @@ struct CascadePmf {
 /// failure contract as ReachProbabilities.
 Result<CascadePmf> CascadeSizePmf(const DirectedGraph& graph,
                                   std::span<const double> probs,
-                                  NodeId source,
+                                  NodeId source, AnalyticWorkspace& workspace,
                                   const AnalyticOptions& options = {});
 
 }  // namespace infoflow::analytic

@@ -1,47 +1,49 @@
 #include "analytic/feasibility.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/check.h"
 
 namespace infoflow::analytic {
 
-FeasibilityReport AssessFeasibility(const DirectedGraph& graph,
-                                    std::span<const NodeId> sources,
-                                    const FeasibilityOptions& options) {
-  FeasibilityReport report;
+void AnalyticWorkspace::Explore(const DirectedGraph& graph,
+                                std::span<const NodeId> sources) {
   const NodeId n = graph.num_nodes();
-  std::vector<bool> reachable(n, false);
-  std::vector<bool> is_source(n, false);
-  std::vector<NodeId> frontier;
+  if (slots_.size() < n) slots_.resize(n);
+  ++stamp_;
+  order_.clear();
+  relevant_.clear();
+  num_sources_ = 0;
   for (const NodeId s : sources) {
     IF_CHECK(s < n) << "source " << s << " out of range";
-    if (is_source[s]) continue;  // duplicate
-    is_source[s] = true;
-    ++report.reachable_sources;
-    reachable[s] = true;
-    frontier.push_back(s);
+    if (reached(s)) continue;  // duplicate
+    slots_[s] = {stamp_, kInvalidEdge, static_cast<NodeId>(order_.size()),
+                 0.0};
+    order_.push_back(s);
+    ++num_sources_;
   }
-
-  // Structural BFS: every edge leaving a reachable node is relevant unless
-  // it re-enters a source (sources are active by fiat, see header).
-  while (!frontier.empty()) {
-    const NodeId u = frontier.back();
-    frontier.pop_back();
+  // True BFS (index queue) so discovery edges form a breadth-first
+  // spanning forest. Every edge leaving a reached node is relevant unless
+  // it re-enters a source (sources are active by fiat).
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const NodeId u = order_[head];
     for (const EdgeId e : graph.OutEdges(u)) {
       const NodeId v = graph.edge(e).dst;
-      if (!is_source[v]) ++report.relevant_edges;
-      if (!reachable[v]) {
-        reachable[v] = true;
-        frontier.push_back(v);
+      if (!is_source(v)) relevant_.push_back(e);
+      if (!reached(v)) {
+        slots_[v] = {stamp_, e, static_cast<NodeId>(order_.size()), 0.0};
+        order_.push_back(v);
       }
     }
   }
-  report.reachable_nodes =
-      static_cast<std::size_t>(std::count(reachable.begin(), reachable.end(),
-                                          true));
+}
 
+FeasibilityReport AnalyticWorkspace::Report(
+    const FeasibilityOptions& options) const {
+  FeasibilityReport report;
+  report.reachable_nodes = order_.size();
+  report.reachable_sources = num_sources_;
+  report.relevant_edges = relevant_.size();
   const std::size_t spanning =
       report.reachable_nodes - report.reachable_sources;
   report.excess_edges = report.relevant_edges - spanning;
@@ -55,6 +57,14 @@ FeasibilityReport AssessFeasibility(const DirectedGraph& graph,
   report.expected_error =
       (report.tree_like || report.enumerable) ? 0.0 : report.excess_ratio;
   return report;
+}
+
+FeasibilityReport AssessFeasibility(const DirectedGraph& graph,
+                                    std::span<const NodeId> sources,
+                                    const FeasibilityOptions& options) {
+  AnalyticWorkspace workspace(graph.num_nodes());
+  workspace.Explore(graph, sources);
+  return workspace.Report(options);
 }
 
 }  // namespace infoflow::analytic

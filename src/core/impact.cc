@@ -129,8 +129,9 @@ double ImpactPmf::Mean() const {
 
 Result<ImpactPmf> AnalyticImpact(const PointIcm& model, NodeId source,
                                  const analytic::AnalyticOptions& options) {
+  analytic::AnalyticWorkspace workspace(model.graph().num_nodes());
   auto result = analytic::CascadeSizePmf(model.graph(), model.probs(), source,
-                                         options);
+                                         workspace, options);
   IF_RETURN_NOT_OK(result.status());
   analytic::CascadePmf pmf = std::move(result).ValueOrDie();
   ImpactPmf out;

@@ -56,14 +56,6 @@ ReversedGraphView ReversedGraphView::Build(
   return view;
 }
 
-void ReversedGraphView::GatherBlock(const std::uint64_t* parent_words,
-                                    std::uint64_t* reversed_words) const {
-  const std::size_t m = to_parent_.size();
-  for (std::size_t re = 0; re < m; ++re) {
-    reversed_words[re] = parent_words[to_parent_[re]];
-  }
-}
-
 void ReversedGraphView::GatherStrip(const std::uint64_t* parent_strip,
                                     unsigned width,
                                     std::uint64_t* reversed_strip) const {

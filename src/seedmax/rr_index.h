@@ -57,7 +57,7 @@ namespace infoflow::seedmax {
 ///
 /// GraphBuilder assigns edge ids by (src, dst) lexicographic order, so the
 /// reversed graph's edge ids permute the parent's; `ParentEdge` maps them
-/// back and `GatherBlock` applies the permutation to one 64-lane block.
+/// back and `GatherStrip` applies the permutation to one strip.
 /// Built once per graph and shared by every generation's sketch build.
 class ReversedGraphView {
  public:
@@ -77,13 +77,8 @@ class ReversedGraphView {
   /// Parent edge id of reversed edge `rev_edge`.
   EdgeId ParentEdge(EdgeId rev_edge) const { return to_parent_[rev_edge]; }
 
-  /// Gathers one block's parent-edge-major words (`parent().num_edges()`
-  /// entries) into reversed edge order: out[re] = in[ParentEdge(re)].
-  void GatherBlock(const std::uint64_t* parent_words,
-                   std::uint64_t* reversed_words) const;
-
-  /// Strip variant: gathers one strip-major strip (`width` words per edge,
-  /// see graph/strip_plane.h) into reversed edge order —
+  /// Gathers one strip-major strip (`width` words per edge, see
+  /// graph/strip_plane.h) into reversed edge order —
   /// out[re·width + w] = in[ParentEdge(re)·width + w].
   void GatherStrip(const std::uint64_t* parent_strip, unsigned width,
                    std::uint64_t* reversed_strip) const;

@@ -118,6 +118,15 @@ class SingleGraphOps final : public BlockOps {
   std::vector<std::unique_ptr<StripWorkspace>>& strip_workspaces_;
 };
 
+/// serve.query.backend_total.<backend>, looked up once: the registry lookup
+/// takes its global mutex, which every connection thread would contend.
+template <QueryBackend kBackend>
+obs::Counter& BackendCounter() {
+  static obs::Counter& counter = obs::GetCounter(
+      std::string("serve.query.backend_total.") + QueryBackendName(kBackend));
+  return counter;
+}
+
 }  // namespace
 
 const char* QueryKindName(QueryKind kind) {
@@ -155,7 +164,7 @@ Result<QueryBackend> ParseQueryBackend(std::string_view name) {
 bool BackendDispatcher::TryAnalytic(const BankGeneration& bank,
                                     const QueryRequest& request,
                                     QueryBackend backend,
-                                    QueryResult& result) const {
+                                    QueryResult& result) {
   const bool explicit_analytic = backend == QueryBackend::kAnalytic;
   // Eq. 7–8 conditioning and joint indicators are row filters by
   // construction — only the bank can answer them. Under kAuto they route
@@ -189,8 +198,9 @@ bool BackendDispatcher::TryAnalytic(const BankGeneration& bank,
   // loopy correction is approximate, so a caller who didn't ask for the
   // analytic backend by name never receives an approximate answer.
   opts.require_exact = backend == QueryBackend::kAuto;
-  auto answer = analytic::ReachProbabilities(*graph_, model->probs(),
-                                             request.sources, opts);
+  auto answer =
+      analytic::ReachProbabilities(*graph_, model->probs(), request.sources,
+                                   request.sinks, *workspace_, opts);
   if (!answer.ok()) {
     if (!explicit_analytic) return false;
     result.status = answer.status();
@@ -199,10 +209,10 @@ bool BackendDispatcher::TryAnalytic(const BankGeneration& bank,
   }
   result.status = Status::OK();
   result.estimates.reserve(request.sinks.size());
-  for (const NodeId sink : request.sinks) {
+  for (std::size_t i = 0; i < request.sinks.size(); ++i) {
     SinkEstimate estimate;
-    estimate.sink = sink;
-    estimate.value = answer->probability[sink];
+    estimate.sink = request.sinks[i];
+    estimate.value = answer->probability[i];
     // Closed-form answer: no sampling noise. MCSE 0 / R-hat 1 make the
     // diagnostics read as a perfectly converged estimator downstream.
     estimate.diagnostics.mean = estimate.value;
@@ -221,7 +231,7 @@ bool BackendDispatcher::TryAnalytic(const BankGeneration& bank,
 
 std::vector<std::size_t> BackendDispatcher::Partition(
     const BankGeneration& bank, const std::vector<QueryRequest>& requests,
-    std::vector<QueryResult>& results) const {
+    std::vector<QueryResult>& results) {
   IF_CHECK(results.size() == requests.size())
       << "results must be pre-sized to the batch";
   std::vector<std::size_t> bank_indices;
@@ -250,10 +260,19 @@ void BackendDispatcher::Merge(const std::vector<std::size_t>& bank_indices,
     results[bank_indices[i]] = std::move(bank_results[i]);
   }
   if constexpr (obs::MetricsEnabled()) {
-    for (const QueryResult& result : results) {
-      obs::GetCounter(std::string("serve.query.backend_total.") +
-                      QueryBackendName(result.backend))
-          .Increment();
+    // A result's backend is never kAuto: everything else is bank replay.
+    const auto analytic = static_cast<std::size_t>(
+        std::count_if(results.begin(), results.end(), [](const auto& r) {
+          return r.backend == QueryBackend::kAnalytic;
+        }));
+    // Each counter registers on first use: a daemon that never answers
+    // analytically shows no analytic counter.
+    if (analytic > 0) {
+      BackendCounter<QueryBackend::kAnalytic>().Increment(analytic);
+    }
+    if (analytic < results.size()) {
+      BackendCounter<QueryBackend::kBank>().Increment(results.size() -
+                                                      analytic);
     }
   }
 }
@@ -276,7 +295,8 @@ QueryEngine::QueryEngine(std::shared_ptr<const DirectedGraph> graph,
                          QueryEngineOptions options)
     : graph_(std::move(graph)),
       options_(options),
-      pool_(std::make_unique<ThreadPool>(options.num_threads)) {
+      pool_(std::make_unique<ThreadPool>(options.num_threads)),
+      analytic_workspace_(graph_->num_nodes()) {
   workspaces_.reserve(pool_->size());
   for (std::size_t t = 0; t < pool_->size(); ++t) {
     workspaces_.emplace_back(*graph_);
@@ -288,9 +308,14 @@ QueryEngine::QueryEngine(std::shared_ptr<const DirectedGraph> graph,
 std::vector<QueryResult> QueryEngine::AnswerBatch(
     const BankGeneration& bank, const std::vector<QueryRequest>& requests) {
   std::vector<QueryResult> results(requests.size());
-  BackendDispatcher dispatcher(*graph_, options_);
+  BackendDispatcher dispatcher(*graph_, options_, analytic_workspace_);
   const std::vector<std::size_t> bank_indices =
       dispatcher.Partition(bank, requests, results);
+  if (bank_indices.empty()) {
+    // Answered analytically throughout: no strip plane, no plan.
+    BackendDispatcher::Merge(bank_indices, {}, results);
+    return results;
+  }
   // Resolve the replay width against this generation's row count; a
   // W-word strip plane (W > 1) is interleaved lazily on first acquisition
   // and cached on the generation, so later batches pay nothing.
@@ -305,7 +330,8 @@ std::vector<QueryResult> QueryEngine::AnswerBatch(
         ws = StripWorkspace::Create(strip_words, *graph_);
       }
     }
-    obs::GetGauge("reach.strip_width").Set(64.0 * strip_words);
+    static obs::Gauge& strip_width = obs::GetGauge("reach.strip_width");
+    strip_width.Set(64.0 * strip_words);
   }
   SingleGraphOps ops(*graph_, bank, workspaces_, strip_plane.get(),
                      strip_workspaces_);

@@ -33,8 +33,8 @@
 /// bank's chain-major row layout preserves.
 ///
 /// Thread-safety: an engine instance must be driven by one thread at a time
-/// (it reuses per-worker scratch); the serve daemon gives each connection
-/// its own engine over the shared bank.
+/// (it reuses per-worker scratch and one analytic workspace); the serve
+/// daemon gives each connection its own engine over the shared bank.
 
 #pragma once
 
@@ -204,11 +204,14 @@ struct QueryEngineOptions {
 /// QueryEngine::AnswerBatch runs it first: the dispatcher partitions a
 /// batch into analytically-answered results and bank-bound requests, the
 /// engine replays the latter over bank rows, and `Merge` re-interleaves.
+/// Analytic answers explore through the engine's AnalyticWorkspace, lent
+/// for the batch, so each costs O(reachable subgraph + sinks).
 class BackendDispatcher {
  public:
-  explicit BackendDispatcher(const DirectedGraph& graph,
-                             const QueryEngineOptions& options)
-      : graph_(&graph), options_(&options) {}
+  BackendDispatcher(const DirectedGraph& graph,
+                    const QueryEngineOptions& options,
+                    analytic::AnalyticWorkspace& workspace)
+      : graph_(&graph), options_(&options), workspace_(&workspace) {}
 
   /// \brief Answers every analytically-routed request in `requests`;
   /// returns the indices of the requests the caller must replay against
@@ -217,7 +220,7 @@ class BackendDispatcher {
   /// explicit-backend failure) are filled, bank-bound entries untouched.
   std::vector<std::size_t> Partition(const BankGeneration& bank,
                                      const std::vector<QueryRequest>& requests,
-                                     std::vector<QueryResult>& results) const;
+                                     std::vector<QueryResult>& results);
 
   /// Scatters the caller's bank replay results (aligned with the index
   /// vector Partition returned) back into the full result vector and
@@ -230,10 +233,11 @@ class BackendDispatcher {
   /// Answers one analytic-eligible query; sets `result` and returns true,
   /// or returns false when the query must go to the bank (kAuto fallback).
   bool TryAnalytic(const BankGeneration& bank, const QueryRequest& request,
-                   QueryBackend backend, QueryResult& result) const;
+                   QueryBackend backend, QueryResult& result);
 
   const DirectedGraph* graph_;
   const QueryEngineOptions* options_;
+  analytic::AnalyticWorkspace* workspace_;
 };
 
 /// \brief Answers query batches against BankGeneration rows.
@@ -246,7 +250,10 @@ class QueryEngine {
 
   /// \brief Answers every request against `bank`'s rows. Results are
   /// positionally aligned with `requests`. Invalid requests fail
-  /// individually (their Status set) without affecting the rest.
+  /// individually (their Status set) without affecting the rest. A batch
+  /// the dispatcher answers entirely analytically never reaches the bank
+  /// plan: no strip plane, no serve.query.batches_total / batch_size /
+  /// latency_ms sample.
   std::vector<QueryResult> AnswerBatch(
       const BankGeneration& bank, const std::vector<QueryRequest>& requests);
 
@@ -266,6 +273,10 @@ class QueryEngine {
   /// created at the batch's resolved width and recreated only when a later
   /// batch resolves a different width.
   std::vector<std::unique_ptr<StripWorkspace>> strip_workspaces_;
+  /// Scratch of the analytic backend, sized to the graph once; the engine
+  /// is driven by one thread at a time, so one workspace serves every
+  /// analytic query it answers.
+  analytic::AnalyticWorkspace analytic_workspace_;
 };
 
 }  // namespace infoflow::serve

@@ -1,9 +1,11 @@
 /// Tests for the analytic subsystem: the feasibility scorer's structural
 /// classification, exact-enumeration pins for the message-passing estimator
 /// on paths/stars/trees and a small loopy graph, the loopy fallback's
-/// calibration, AnalyticImpact against SimulateImpact, the
+/// calibration, one reused AnalyticWorkspace answering bit-identically to
+/// fresh ones, AnalyticImpact against SimulateImpact, the
 /// BackendDispatcher's routing (auto picks analytic only on exact regimes,
-/// conditioning always replays the bank), the protocol's backend field, and
+/// conditioning always replays the bank, all-analytic batches skip the bank
+/// plan), the protocol's backend field, and
 /// a randomized differential suite: every analytic answer within 3×MCSE of
 /// the MH + bank replay estimate.
 
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "core/exact_flow.h"
 #include "core/impact.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "serve/sample_bank.h"
@@ -55,6 +59,13 @@ std::shared_ptr<const DirectedGraph> Diamond() {
   b.AddEdge(1, 3).CheckOK();
   b.AddEdge(2, 3).CheckOK();
   return Share(std::move(b).Build());
+}
+
+/// Every node id of `g` in order, so answers index like node ids.
+std::vector<NodeId> AllNodes(const DirectedGraph& g) {
+  std::vector<NodeId> nodes(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes[v] = v;
+  return nodes;
 }
 
 std::vector<double> RandomProbs(const DirectedGraph& g, std::uint64_t seed,
@@ -145,7 +156,8 @@ TEST(ReachProbabilities, PathClosedForm) {
   auto g = Path(3);
   const std::vector<double> probs = {0.6, 0.5};
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources);
+  AnalyticWorkspace ws;
+  auto answer = ReachProbabilities(*g, probs, sources, AllNodes(*g), ws);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kTreeExact);
   EXPECT_DOUBLE_EQ(answer->probability[0], 1.0);
@@ -157,7 +169,8 @@ TEST(ReachProbabilities, StarLeavesAreIndependentEdges) {
   auto g = Star(4);
   const std::vector<double> probs = {0.1, 0.3, 0.5, 0.7};
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources);
+  AnalyticWorkspace ws;
+  auto answer = ReachProbabilities(*g, probs, sources, AllNodes(*g), ws);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kTreeExact);
   for (NodeId leaf = 1; leaf <= 4; ++leaf) {
@@ -172,7 +185,8 @@ TEST(ReachProbabilities, RandomTreeMatchesEnumerationEverywhere) {
   const std::vector<double> probs = RandomProbs(*g, 6);
   const PointIcm model(g, probs);
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources);
+  AnalyticWorkspace ws;
+  auto answer = ReachProbabilities(*g, probs, sources, AllNodes(*g), ws);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kTreeExact);
   for (NodeId v = 0; v < g->num_nodes(); ++v) {
@@ -187,7 +201,8 @@ TEST(ReachProbabilities, DiamondAnswersExactlyByEnumeration) {
   const std::vector<double> probs = {0.5, 0.4, 0.7, 0.6};
   const PointIcm model(g, probs);
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources);
+  AnalyticWorkspace ws;
+  auto answer = ReachProbabilities(*g, probs, sources, AllNodes(*g), ws);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kEnumeration);
   for (NodeId v = 0; v < 4; ++v) {
@@ -205,7 +220,9 @@ TEST(ReachProbabilities, LoopyMarginalsExactWhenPathsShareOnlyTheSource) {
   AnalyticOptions options;
   options.feasibility.max_enumeration_edges = 0;
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources, options);
+  AnalyticWorkspace ws;
+  auto answer =
+      ReachProbabilities(*g, probs, sources, AllNodes(*g), ws, options);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_EQ(answer->method, AnalyticMethod::kLoopy);
   EXPECT_GT(answer->report.expected_error, 0.0);
@@ -222,7 +239,9 @@ TEST(ReachProbabilities, RequireExactRefusesTheLoopyRegime) {
   options.feasibility.max_enumeration_edges = 0;
   options.require_exact = true;
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources, options);
+  AnalyticWorkspace ws;
+  auto answer =
+      ReachProbabilities(*g, probs, sources, AllNodes(*g), ws, options);
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -232,7 +251,8 @@ TEST(ReachProbabilities, DenseGraphRefusedWithDescriptiveStatus) {
   auto g = Share(UniformRandomGraph(30, 240, rng));
   const std::vector<double> probs = RandomProbs(*g, 13);
   const NodeId sources[] = {0};
-  auto answer = ReachProbabilities(*g, probs, sources);
+  AnalyticWorkspace ws;
+  auto answer = ReachProbabilities(*g, probs, sources, AllNodes(*g), ws);
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(answer.status().message().find("tree-like"), std::string::npos)
@@ -242,13 +262,18 @@ TEST(ReachProbabilities, DenseGraphRefusedWithDescriptiveStatus) {
 TEST(ReachProbabilities, RejectsOutOfRangeSourceAndProbSpanMismatch) {
   auto g = Path(3);
   const std::vector<double> probs = {0.5, 0.5};
+  const NodeId sinks[] = {2};
+  AnalyticWorkspace ws;
   const NodeId bad_source[] = {7};
-  EXPECT_FALSE(ReachProbabilities(*g, probs, bad_source).ok());
+  EXPECT_FALSE(ReachProbabilities(*g, probs, bad_source, sinks, ws).ok());
   const std::vector<double> short_probs = {0.5};
   const NodeId sources[] = {0};
-  EXPECT_FALSE(ReachProbabilities(*g, short_probs, sources).ok());
+  EXPECT_FALSE(ReachProbabilities(*g, short_probs, sources, sinks, ws).ok());
   EXPECT_FALSE(
-      ReachProbabilities(*g, probs, std::span<const NodeId>{}).ok());
+      ReachProbabilities(*g, probs, std::span<const NodeId>{}, sinks, ws)
+          .ok());
+  const NodeId bad_sink[] = {3};
+  EXPECT_FALSE(ReachProbabilities(*g, probs, sources, bad_sink, ws).ok());
 }
 
 // ----------------------------------------------------- cascade-size PMFs
@@ -256,7 +281,8 @@ TEST(ReachProbabilities, RejectsOutOfRangeSourceAndProbSpanMismatch) {
 TEST(CascadeSizePmf, PathPmfIsTelescoped) {
   auto g = Path(3);
   const std::vector<double> probs = {0.6, 0.5};
-  auto pmf = CascadeSizePmf(*g, probs, 0);
+  AnalyticWorkspace ws;
+  auto pmf = CascadeSizePmf(*g, probs, 0, ws);
   ASSERT_TRUE(pmf.ok()) << pmf.status();
   EXPECT_EQ(pmf->method, AnalyticMethod::kTreeExact);
   ASSERT_EQ(pmf->impact.size(), 3u);
@@ -269,7 +295,8 @@ TEST(CascadeSizePmf, PathPmfIsTelescoped) {
 TEST(CascadeSizePmf, StarPmfIsBinomial) {
   auto g = Star(3);
   const std::vector<double> probs = {0.5, 0.5, 0.5};
-  auto pmf = CascadeSizePmf(*g, probs, 0);
+  AnalyticWorkspace ws;
+  auto pmf = CascadeSizePmf(*g, probs, 0, ws);
   ASSERT_TRUE(pmf.ok()) << pmf.status();
   ASSERT_EQ(pmf->impact.size(), 4u);
   const double expected[] = {0.125, 0.375, 0.375, 0.125};
@@ -281,7 +308,8 @@ TEST(CascadeSizePmf, StarPmfIsBinomial) {
 TEST(CascadeSizePmf, SinkSourceIsPointMassAtZero) {
   auto g = Path(3);
   const std::vector<double> probs = {0.6, 0.5};
-  auto pmf = CascadeSizePmf(*g, probs, 2);
+  AnalyticWorkspace ws;
+  auto pmf = CascadeSizePmf(*g, probs, 2, ws);
   ASSERT_TRUE(pmf.ok()) << pmf.status();
   ASSERT_EQ(pmf->impact.size(), 1u);
   EXPECT_DOUBLE_EQ(pmf->impact[0], 1.0);
@@ -294,7 +322,8 @@ TEST(CascadeSizePmf, DiamondEnumerationSumsToOneAndMatchesMeanIdentity) {
   auto g = Diamond();
   const std::vector<double> probs = {0.5, 0.4, 0.7, 0.6};
   const PointIcm model(g, probs);
-  auto pmf = CascadeSizePmf(*g, probs, 0);
+  AnalyticWorkspace ws;
+  auto pmf = CascadeSizePmf(*g, probs, 0, ws);
   ASSERT_TRUE(pmf.ok()) << pmf.status();
   EXPECT_EQ(pmf->method, AnalyticMethod::kEnumeration);
   double sum = 0.0;
@@ -317,7 +346,8 @@ TEST(CascadeSizePmf, LoopyFallbackMeanWithinItsErrorBudget) {
   const PointIcm model(g, probs);
   AnalyticOptions options;
   options.feasibility.max_enumeration_edges = 0;
-  auto pmf = CascadeSizePmf(*g, probs, 0, options);
+  AnalyticWorkspace ws;
+  auto pmf = CascadeSizePmf(*g, probs, 0, ws, options);
   ASSERT_TRUE(pmf.ok()) << pmf.status();
   EXPECT_EQ(pmf->method, AnalyticMethod::kLoopy);
   double mean_by_marginals = 0.0;
@@ -330,6 +360,148 @@ TEST(CascadeSizePmf, LoopyFallbackMeanWithinItsErrorBudget) {
   EXPECT_GT(pmf->report.expected_error, 0.0);
   EXPECT_NEAR(pmf->Mean(), mean_by_marginals,
               pmf->report.expected_error * mean_by_marginals);
+}
+
+// ------------------------------------------------- AnalyticWorkspace reuse
+
+/// Exact Pr[some source ⤳ sink] by enumeration: one minus the probability
+/// that no source reaches it (1 when the sink is a source).
+double ExactAnyFlow(const PointIcm& model, std::span<const NodeId> sources,
+                    NodeId sink) {
+  if (std::find(sources.begin(), sources.end(), sink) != sources.end()) {
+    return 1.0;
+  }
+  FlowConditions none;
+  for (const NodeId s : sources) {
+    const FlowConstraint c{s, sink, false};
+    if (std::find(none.begin(), none.end(), c) == none.end()) {
+      none.push_back(c);
+    }
+  }
+  return 1.0 - ExactConditionsProbability(model, none);
+}
+
+void ExpectSameReport(const FeasibilityReport& a, const FeasibilityReport& b) {
+  EXPECT_EQ(a.reachable_nodes, b.reachable_nodes);
+  EXPECT_EQ(a.reachable_sources, b.reachable_sources);
+  EXPECT_EQ(a.relevant_edges, b.relevant_edges);
+  EXPECT_EQ(a.excess_edges, b.excess_edges);
+  EXPECT_EQ(a.excess_ratio, b.excess_ratio);
+  EXPECT_EQ(a.tree_like, b.tree_like);
+  EXPECT_EQ(a.enumerable, b.enumerable);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.expected_error, b.expected_error);
+}
+
+/// 8-cycle with three chords: loopy (multiple paths, edges back into every
+/// source), 11 edges, so answered exactly by enumeration.
+std::shared_ptr<const DirectedGraph> ChordedCycle() {
+  GraphBuilder b(8);
+  for (NodeId v = 0; v < 8; ++v) b.AddEdge(v, (v + 1) % 8).CheckOK();
+  b.AddEdge(0, 4).CheckOK();
+  b.AddEdge(2, 6).CheckOK();
+  b.AddEdge(5, 1).CheckOK();
+  return Share(std::move(b).Build());
+}
+
+/// A 48-node tree plus shortcut edges: from near the root the reachable
+/// subgraph is past the enumeration budget but inside the loopy one.
+std::shared_ptr<const DirectedGraph> ShortcutTree() {
+  Rng rng(61);
+  auto tree = Share(RandomTreeGraph(48, 3, rng));
+  GraphBuilder b(48);
+  for (EdgeId e = 0; e < tree->num_edges(); ++e) {
+    b.AddEdge(tree->edge(e).src, tree->edge(e).dst).CheckOK();
+  }
+  b.AddEdgeIfAbsent(1, 30);
+  b.AddEdgeIfAbsent(2, 40);
+  b.AddEdgeIfAbsent(3, 20);
+  return Share(std::move(b).Build());
+}
+
+TEST(AnalyticWorkspace, ReusedAnswersAreBitIdenticalToAFreshWorkspace) {
+  // One workspace answers every query below, across graphs of different
+  // sizes and all three regimes plus refusals, alternating flow answers
+  // and impact PMFs; each answer must equal a fresh workspace's bit for
+  // bit, and the small graphs' answers must match exact enumeration.
+  Rng graph_rng(51);
+  std::vector<std::shared_ptr<const DirectedGraph>> graphs = {
+      Share(RandomTreeGraph(9, 3, graph_rng)),
+      Diamond(),
+      Share(RandomTreeGraph(13, 2, graph_rng)),
+      ChordedCycle(),
+      ShortcutTree(),
+      Share(RandomTreeGraph(200, 4, graph_rng)),
+      Share(UniformRandomGraph(30, 240, graph_rng)),
+  };
+  std::vector<std::vector<double>> probs;
+  std::vector<PointIcm> models;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    probs.push_back(RandomProbs(*graphs[i], 100 + i));
+    models.emplace_back(graphs[i], probs.back());
+  }
+
+  AnalyticWorkspace ws;
+  Rng rng(52);
+  std::size_t answered = 0;
+  std::size_t by_method[3] = {0, 0, 0};
+  for (std::size_t q = 0; q < 1200; ++q) {
+    const std::size_t gi = q % graphs.size();
+    const DirectedGraph& g = *graphs[gi];
+    const NodeId n = g.num_nodes();
+    std::vector<NodeId> sources(1 + rng.NextBounded(3));
+    for (NodeId& s : sources) s = static_cast<NodeId>(rng.NextBounded(n));
+    if (rng.NextBounded(4) == 0) sources.push_back(sources.front());
+    std::vector<NodeId> sinks(1 + rng.NextBounded(4));
+    for (NodeId& t : sinks) t = static_cast<NodeId>(rng.NextBounded(n));
+    if (rng.NextBounded(3) == 0) sinks.push_back(sources.back());
+    SCOPED_TRACE("query " + std::to_string(q) + " on graph " +
+                 std::to_string(gi));
+
+    AnalyticWorkspace fresh;
+    auto reused = ReachProbabilities(g, probs[gi], sources, sinks, ws);
+    auto expected = ReachProbabilities(g, probs[gi], sources, sinks, fresh);
+    ASSERT_EQ(reused.ok(), expected.ok());
+    if (!reused.ok()) {
+      EXPECT_EQ(reused.status().ToString(), expected.status().ToString());
+    } else {
+      ++answered;
+      ++by_method[static_cast<std::size_t>(reused->method)];
+      EXPECT_EQ(reused->method, expected->method);
+      ExpectSameReport(reused->report, expected->report);
+      ExpectSameReport(reused->report, AssessFeasibility(g, sources));
+      ASSERT_EQ(reused->probability.size(), sinks.size());
+      ASSERT_EQ(expected->probability.size(), sinks.size());
+      for (std::size_t i = 0; i < sinks.size(); ++i) {
+        EXPECT_EQ(reused->probability[i], expected->probability[i]);
+        if (g.num_edges() <= 20) {
+          EXPECT_NEAR(reused->probability[i],
+                      ExactAnyFlow(models[gi], sources, sinks[i]), 1e-12)
+              << "sink " << sinks[i];
+        }
+      }
+    }
+
+    // The impact PMF of the first source through the same workspace.
+    const NodeId source = sources.front();
+    AnalyticWorkspace fresh_pmf;
+    auto pmf = CascadeSizePmf(g, probs[gi], source, ws);
+    auto expected_pmf = CascadeSizePmf(g, probs[gi], source, fresh_pmf);
+    ASSERT_EQ(pmf.ok(), expected_pmf.ok());
+    if (pmf.ok()) {
+      EXPECT_EQ(pmf->method, expected_pmf->method);
+      EXPECT_EQ(pmf->impact, expected_pmf->impact);
+      const NodeId one[] = {source};
+      ExpectSameReport(pmf->report, AssessFeasibility(g, one));
+    }
+  }
+  EXPECT_GE(answered, 1000u);
+  // Every regime was exercised.
+  EXPECT_GT(by_method[static_cast<std::size_t>(AnalyticMethod::kTreeExact)],
+            0u);
+  EXPECT_GT(by_method[static_cast<std::size_t>(AnalyticMethod::kEnumeration)],
+            0u);
+  EXPECT_GT(by_method[static_cast<std::size_t>(AnalyticMethod::kLoopy)], 0u);
 }
 
 // --------------------------------------------- AnalyticImpact (core/)
@@ -565,6 +737,49 @@ TEST(BackendDispatcher, MixedBatchKeepsPositionalAlignment) {
                                                 : QueryBackend::kBank);
     EXPECT_EQ(results[i].estimates[0].sink, sink);
   }
+}
+
+TEST(BackendDispatcher, AllAnalyticBatchesSkipTheBankPlan) {
+  // A batch answered entirely analytically must not touch the bank plan:
+  // no serve.query.batch_size sample, and no 256-lane strip plane
+  // interleaved (its plane_bytes gauge keeps the sentinel set below).
+  if constexpr (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics disabled";
+  const PointIcm model = TreeModel(17, 40);
+  SampleBank bank = MakeBank(model, 512);
+  QueryEngineOptions options;
+  options.lanes = LaneWidth::k256;
+  options.default_backend = QueryBackend::kAuto;
+  QueryEngine engine = MakeEngine(bank, options);
+  const auto generation = bank.Acquire();
+  obs::Gauge& plane_bytes = obs::GetGauge("serve.bank.plane_bytes.256");
+  plane_bytes.Set(-1.0);
+  const auto batches = [] {
+    const auto snap = obs::MetricsRegistry::Global().Snapshot();
+    const auto it = snap.histograms.find("serve.query.batch_size");
+    return it == snap.histograms.end() ? std::uint64_t{0} : it->second.total;
+  };
+  const std::uint64_t before = batches();
+  for (NodeId sink = 1; sink < 9; ++sink) {
+    QueryRequest community = FlowQuery(0, sink);
+    community.kind = QueryKind::kCommunity;
+    community.sinks = {sink, static_cast<NodeId>(sink + 9)};
+    const auto results =
+        engine.AnswerBatch(*generation, {FlowQuery(0, sink), community});
+    ASSERT_EQ(results.size(), 2u);
+    for (const QueryResult& result : results) {
+      ASSERT_TRUE(result.status.ok()) << result.status;
+      EXPECT_EQ(result.backend, QueryBackend::kAnalytic);
+    }
+  }
+  EXPECT_EQ(batches(), before);
+  EXPECT_EQ(plane_bytes.Value(), -1.0);
+
+  // One bank-bound request brings the plan, and the plane, back.
+  const auto results =
+      engine.AnswerBatch(*generation, {FlowQuery(0, 5, QueryBackend::kBank)});
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+  EXPECT_EQ(batches(), before + 1);
+  EXPECT_GT(plane_bytes.Value(), 0.0);
 }
 
 TEST(BackendDispatcher, CommunityQueriesTakeTheAnalyticPath) {

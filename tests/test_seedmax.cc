@@ -151,16 +151,25 @@ TEST(ReversedGraphView, TransposesEdgesAndMapsIdsBack) {
   }
 }
 
-TEST(ReversedGraphView, GatherBlockAppliesTheEdgePermutation) {
+TEST(ReversedGraphView, GatherStripAppliesTheEdgePermutation) {
   const PointIcm model = SmallRandomModel(11, 12, 30);
   const ReversedGraphView view = ReversedGraphView::Build(model.graph_ptr());
   const EdgeId m = model.graph().num_edges();
-  std::vector<std::uint64_t> parent_words(m);
-  for (EdgeId e = 0; e < m; ++e) parent_words[e] = 0x1111u * (e + 1);
-  std::vector<std::uint64_t> reversed_words(m);
-  view.GatherBlock(parent_words.data(), reversed_words.data());
-  for (EdgeId re = 0; re < m; ++re) {
-    EXPECT_EQ(reversed_words[re], parent_words[view.ParentEdge(re)]);
+  for (const unsigned width : {1u, 4u, 8u}) {
+    // Every word distinct, so a misplaced edge or word shows.
+    std::vector<std::uint64_t> parent_strip(std::size_t{m} * width);
+    for (std::size_t i = 0; i < parent_strip.size(); ++i) {
+      parent_strip[i] = 0x1111u * (i + 1);
+    }
+    std::vector<std::uint64_t> reversed_strip(parent_strip.size());
+    view.GatherStrip(parent_strip.data(), width, reversed_strip.data());
+    for (EdgeId re = 0; re < m; ++re) {
+      for (unsigned w = 0; w < width; ++w) {
+        EXPECT_EQ(reversed_strip[std::size_t{re} * width + w],
+                  parent_strip[std::size_t{view.ParentEdge(re)} * width + w])
+            << "width " << width << " edge " << re << " word " << w;
+      }
+    }
   }
 }
 

@@ -369,14 +369,17 @@ int CmdQuery(Flags& flags) {
       analytic::AnalyticOptions analytic_options;
       analytic_options.require_exact =
           *backend == serve::QueryBackend::kAuto;
-      const std::vector<NodeId> sources{source};
+      const NodeId sources[] = {source};
+      const NodeId sinks[] = {sink};
+      analytic::AnalyticWorkspace workspace(model->graph().num_nodes());
       auto answer = analytic::ReachProbabilities(
-          model->graph(), model->probs(), sources, analytic_options);
+          model->graph(), model->probs(), sources, sinks, workspace,
+          analytic_options);
       if (answer.ok()) {
         std::printf(
             "Pr[%u ~> %u] = %.5f   (analytic backend, %s regime, expected "
             "error %.3g)\n",
-            source, sink, answer->probability[sink],
+            source, sink, answer->probability[0],
             analytic::AnalyticMethodName(answer->method),
             answer->report.expected_error);
         return 0;
